@@ -1,9 +1,14 @@
-//! Shared plumbing for the `fig*` reproduction binaries.
+//! Shared plumbing for the table-printing binaries (`fig01_queue_traces`,
+//! `fig09_nyquist`, `ablation`, `stability_map`, `convergence`,
+//! `microbench_buildup`) and the [`harness`] behind the `engine` bench.
+//! Figs. 10–15 are reproduced by the `repro` binary of `dctcp-scenario`.
 //!
-//! Each binary accepts:
+//! Each table binary accepts:
 //!
 //! * `--quick` (default) / `--full` — experiment scale;
 //! * `--csv PATH` — additionally write the primary table as CSV.
+//!
+//! Anything else is rejected with a usage message and exit code 2.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
@@ -26,21 +31,42 @@ pub struct FigArgs {
 }
 
 impl FigArgs {
-    /// Parses `std::env::args()`-style arguments.
-    pub fn parse(args: impl IntoIterator<Item = String>) -> FigArgs {
+    /// Parses `std::env::args()`-style arguments. `--full` anywhere
+    /// selects paper scale; the default is `--quick`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the offending argument for an unknown
+    /// flag, a stray operand, or a `--csv` without a path.
+    pub fn parse(args: impl IntoIterator<Item = String>) -> Result<FigArgs, String> {
         let args: Vec<String> = args.into_iter().collect();
-        let scale = Scale::from_args(&args);
-        let csv = args
-            .iter()
-            .position(|a| a == "--csv")
-            .and_then(|i| args.get(i + 1))
-            .map(PathBuf::from);
-        FigArgs { scale, csv }
+        let mut csv = None;
+        let mut rest = args.iter();
+        while let Some(arg) = rest.next() {
+            match arg.as_str() {
+                "--quick" | "--full" => {}
+                "--csv" => match rest.next() {
+                    Some(path) if !path.starts_with("--") => csv = Some(PathBuf::from(path)),
+                    _ => return Err("--csv needs a PATH".into()),
+                },
+                other => return Err(format!("unexpected argument `{other}`")),
+            }
+        }
+        Ok(FigArgs {
+            scale: Scale::from_args(&args),
+            csv,
+        })
     }
 
-    /// Parses the process arguments (skipping `argv[0]`).
+    /// Parses the process arguments (skipping `argv[0]`); on a malformed
+    /// command line prints the usage and exits with status 2.
     pub fn from_env() -> FigArgs {
-        FigArgs::parse(std::env::args().skip(1))
+        let mut argv = std::env::args();
+        let bin = argv.next().unwrap_or_default();
+        FigArgs::parse(argv).unwrap_or_else(|e| {
+            eprintln!("{e}\nusage: {bin} [--quick | --full] [--csv PATH]");
+            std::process::exit(2)
+        })
     }
 }
 
@@ -63,21 +89,40 @@ pub fn emit(table: &Table, args: &FigArgs) {
 mod tests {
     use super::*;
 
+    fn parse(args: &[&str]) -> Result<FigArgs, String> {
+        FigArgs::parse(args.iter().map(|a| a.to_string()))
+    }
+
     #[test]
     fn parses_flags_in_any_order() {
-        let a = FigArgs::parse(["--csv".into(), "out.csv".into(), "--full".into()]);
+        let a = parse(&["--csv", "out.csv", "--full"]).unwrap();
         assert_eq!(a.scale, Scale::Full);
         assert_eq!(a.csv.as_deref().unwrap().to_str(), Some("out.csv"));
 
-        let a = FigArgs::parse(Vec::<String>::new());
+        let a = parse(&["--full", "--quick"]).unwrap();
+        assert_eq!(a.scale, Scale::Full);
+
+        let a = parse(&[]).unwrap();
         assert_eq!(a.scale, Scale::Quick);
         assert!(a.csv.is_none());
     }
 
     #[test]
-    fn csv_without_path_is_ignored() {
-        let a = FigArgs::parse(["--csv".into()]);
-        assert!(a.csv.is_none());
+    fn csv_without_path_is_an_error() {
+        assert_eq!(parse(&["--csv"]).unwrap_err(), "--csv needs a PATH");
+        assert_eq!(
+            parse(&["--csv", "--full"]).unwrap_err(),
+            "--csv needs a PATH"
+        );
+    }
+
+    #[test]
+    fn unknown_arguments_are_errors() {
+        assert_eq!(
+            parse(&["--ful"]).unwrap_err(),
+            "unexpected argument `--ful`"
+        );
+        assert!(parse(&["--quick", "extra"]).is_err());
     }
 
     #[test]

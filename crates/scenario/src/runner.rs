@@ -848,7 +848,8 @@ k = 20 pkts
         .unwrap()
     }
 
-    /// A two-cell variant (two markings) for hit/miss partition tests.
+    /// A two-cell variant (two markings) for hit/miss partition and
+    /// cell-order tests.
     fn two_cell_spec() -> ScenarioSpec {
         ScenarioSpec::parse(
             "\
@@ -908,8 +909,10 @@ k2 = 25 pkts
 
     #[test]
     fn artifacts_are_thread_count_invariant() {
-        let a = run_scenario(&tiny_spec(), 1).unwrap();
-        let b = run_scenario(&tiny_spec(), 4).unwrap();
+        // Two cells, so a parallel run could reorder them.
+        let a = run_scenario(&two_cell_spec(), 1).unwrap();
+        let b = run_scenario(&two_cell_spec(), 4).unwrap();
+        assert_eq!(a.points.len(), 2);
         assert_eq!(a, b);
     }
 

@@ -1,22 +1,17 @@
-//! Per-figure experiment drivers.
+//! Drivers for the figures no scenario kind produces.
 //!
-//! Each driver reproduces one data figure of the paper and renders the
-//! same rows/series the paper reports (see EXPERIMENTS.md for
-//! paper-vs-measured). Every driver takes a [`Scale`]: `Quick` for CI
-//! and tests, `Full` for paper-scale runs from the `fig*` binaries.
+//! Fig. 1 (queue traces) and Fig. 9 (describing-function / Nyquist
+//! sweep) render the rows the paper reports (see EXPERIMENTS.md for
+//! paper-vs-measured); every other data figure is reproduced by a
+//! `dctcp-scenario` spec. Each driver takes a [`Scale`]: `Quick` for CI
+//! and tests, `Full` for paper-scale runs from the `fig01`/`fig09`
+//! binaries.
 
 mod fig1;
 mod fig9;
-mod query;
-mod sweep;
 
 pub use fig1::{fig1, Fig1Result, Fig1Trace};
 pub use fig9::{fig9, Fig9Result, Fig9Row, FIG9_CALIBRATED_GAIN};
-pub use query::{fig14, fig15, QuerySweepResult, QuerySweepRow};
-pub use sweep::{
-    fig10_table, fig11_table, fig12_table, queue_sweep, queue_sweep_with_threads, SweepPoint,
-    SweepResult,
-};
 
 /// How much work an experiment driver performs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -10,9 +10,13 @@
 //!   arrivals at a configured load with empirical sizes ([`sizes`]),
 //!   reporting per-size-class FCT tails from mergeable sketches.
 //!
-//! The [`experiments`] module exposes one driver per data figure; each
-//! returns a serializable result with [`Table`] renderings — the `fig*`
-//! binaries in `dctcp-bench` are thin wrappers around them.
+//! Figs. 10–12, 14 and 15 are reproduced through the `dctcp-scenario`
+//! matrix (`long_lived`, `incast` and `partition_aggregate` kinds). The
+//! [`experiments`] module keeps the drivers for the two figures no
+//! scenario kind produces — Fig. 1's queue traces and Fig. 9's
+//! describing-function sweep — each returning a result with a [`Table`]
+//! rendering; the `fig01`/`fig09` binaries in `dctcp-bench` are thin
+//! wrappers around them.
 //!
 //! # Examples
 //!

@@ -12,7 +12,8 @@
 //! * [`stats`] — time-weighted statistics and metrics.
 //! * [`trace`] — typed event tracing and the replayable invariant
 //!   oracle.
-//! * [`workloads`] — scenarios and per-figure experiments.
+//! * [`workloads`] — scenarios, query workloads and the Fig. 1 / Fig. 9
+//!   experiment drivers.
 //! * [`parallel`] — scoped-thread fan-out with deterministic,
 //!   input-ordered results for independent simulation runs.
 //!
