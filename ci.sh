@@ -4,8 +4,9 @@
 #
 # Tiers:
 #   ci.sh quick   fmt + clippy + release build + tier-1 tests + fluid
-#                 model tests (the PR gate: minutes, catches most
-#                 breakage)
+#                 model tests + scenario crate tests (spec parsing,
+#                 runner, cache keys and the repro CLIs) (the PR gate:
+#                 minutes, catches most breakage)
 #   ci.sh full    quick + zero-dependency guard (Cargo.lock must be
 #                 workspace-only) + workspace tests + rustdoc +
 #                 trace-oracle smoke + bench gate + scenario-matrix
@@ -50,6 +51,12 @@ echo "==> cargo test (fluid model unit + property tests)"
 # full test suite (equilibrium fixed points, step-response determinism,
 # damping ordering) is cheap enough for the PR gate.
 cargo test --offline -q -p dctcp-fluid
+
+echo "==> cargo test (scenario crate: spec, runner, cell keys, CLIs)"
+# The per-kind parsers, the pinned cell keys of every committed
+# scenario and the supervised runner live here; a refactor that moves a
+# cache key or breaks a kind fails in seconds instead of on main.
+cargo test --offline -q -p dctcp-scenario
 
 if [ "$TIER" = "quick" ]; then
     echo "CI quick gate passed."

@@ -112,39 +112,6 @@ where
         .collect()
 }
 
-/// Fallible [`par_map`]: applies `f` to every item on up to `threads`
-/// worker threads and returns all results in input order, or the error
-/// of the **lowest-indexed** failing item.
-///
-/// Every job still runs to completion (workers don't watch each other),
-/// so the choice of reported error is deterministic — it depends only on
-/// the inputs, never on scheduling.
-///
-/// # Errors
-///
-/// Returns the first error by input index when any job fails.
-///
-/// # Examples
-///
-/// ```
-/// let ok = dctcp_parallel::par_try_map(vec![1u64, 2, 3], 2, |_i, x| Ok::<_, String>(x * 2));
-/// assert_eq!(ok, Ok(vec![2, 4, 6]));
-///
-/// let err = dctcp_parallel::par_try_map(vec![1u64, 0, 0], 2, |i, x| {
-///     if x == 0 { Err(format!("item {i} is zero")) } else { Ok(x) }
-/// });
-/// assert_eq!(err, Err("item 1 is zero".to_string()));
-/// ```
-pub fn par_try_map<T, R, E, F>(items: Vec<T>, threads: usize, f: F) -> Result<Vec<R>, E>
-where
-    T: Send,
-    R: Send,
-    E: Send,
-    F: Fn(usize, T) -> Result<R, E> + Sync,
-{
-    par_map(items, threads, f).into_iter().collect()
-}
-
 /// A worker panic caught by [`run_isolated`] and carried as a value.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CaughtPanic {
@@ -190,32 +157,6 @@ pub fn run_isolated<R, F: FnOnce() -> R>(f: F) -> Result<R, CaughtPanic> {
         };
         CaughtPanic { message }
     })
-}
-
-/// [`par_map`] with per-item panic isolation: a job that panics yields
-/// `Err(CaughtPanic)` in its output slot while every other job runs to
-/// completion, instead of the first panic aborting the whole fan-out.
-///
-/// Results stay in input order, so which jobs failed — and with what
-/// message — is deterministic for deterministic jobs.
-///
-/// # Examples
-///
-/// ```
-/// let out = dctcp_parallel::par_map_isolated(vec![1u64, 0, 3], 2, |_i, x| {
-///     if x == 0 { panic!("zero") } else { x * 2 }
-/// });
-/// assert_eq!(out[0], Ok(2));
-/// assert_eq!(out[1].as_ref().unwrap_err().message, "zero");
-/// assert_eq!(out[2], Ok(6));
-/// ```
-pub fn par_map_isolated<T, R, F>(items: Vec<T>, threads: usize, f: F) -> Vec<Result<R, CaughtPanic>>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, T) -> R + Sync,
-{
-    par_map(items, threads, |i, item| run_isolated(|| f(i, item)))
 }
 
 /// Why a [`drive_windows`] run stopped early.
@@ -409,61 +350,8 @@ mod tests {
     }
 
     #[test]
-    fn try_map_reports_lowest_index_error() {
-        // Two failures; the lower input index must win regardless of
-        // which worker finishes first.
-        let r = par_try_map((0..32u64).collect(), 4, |i, x| {
-            if x % 10 == 7 {
-                Err(format!("fail at {i}"))
-            } else {
-                Ok(x)
-            }
-        });
-        assert_eq!(r, Err("fail at 7".to_string()));
-    }
-
-    #[test]
-    fn try_map_success_matches_par_map() {
-        let items: Vec<u64> = (0..20).collect();
-        let ok: Result<Vec<u64>, ()> = par_try_map(items.clone(), 3, |_i, x| Ok(x * x));
-        assert_eq!(ok.unwrap(), par_map(items, 3, |_i, x| x * x));
-    }
-
-    #[test]
     fn available_threads_is_positive() {
         assert!(available_threads() >= 1);
-    }
-
-    #[test]
-    fn isolated_panics_become_values_and_siblings_survive() {
-        let out = par_map_isolated((0..32u64).collect(), 4, |i, x| {
-            if x % 10 == 3 {
-                panic!("poisoned cell {i}");
-            }
-            x * 2
-        });
-        assert_eq!(out.len(), 32);
-        for (i, r) in out.iter().enumerate() {
-            if i % 10 == 3 {
-                let p = r.as_ref().unwrap_err();
-                assert_eq!(p.message, format!("poisoned cell {i}"));
-            } else {
-                assert_eq!(*r.as_ref().unwrap(), i as u64 * 2);
-            }
-        }
-    }
-
-    #[test]
-    fn isolated_serial_and_parallel_agree() {
-        let job = |i: usize, x: u64| {
-            if x == 5 {
-                panic!("five");
-            }
-            (i, x)
-        };
-        let items: Vec<u64> = (0..12).collect();
-        let serial = par_map_isolated(items.clone(), 1, job);
-        assert_eq!(par_map_isolated(items, 4, job), serial);
     }
 
     /// A toy "simulation": each shard advances its clock to the window

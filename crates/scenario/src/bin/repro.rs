@@ -138,7 +138,8 @@ fn run() -> Result<Outcome, String> {
             spec.kind.name(),
             spec.markings.len(),
             spec.run.flows.len(),
-            if spec.kind.is_query() {
+            // The runner's seed column: seed-free kinds pin seed 1.
+            if spec.kind.sweeps_seeds() {
                 spec.run.seeds.len()
             } else {
                 1

@@ -14,8 +14,9 @@
 
 use crate::artifact::Artifact;
 use crate::parse::{parse_f64, parse_list_u32, parse_u32, Document};
-use crate::spec::ScenarioKind;
+use crate::spec::marking_label;
 use crate::ScenarioError;
+use crate::ScenarioKind;
 
 /// The check a single `[expect]` section performs.
 #[derive(Debug, Clone, PartialEq)]
@@ -119,55 +120,41 @@ pub fn parse_expectations(
             line: s.line,
             msg: "expect sections need a label: [expect \"low-variance\"]".into(),
         })?;
-        if out.iter().any(|e| e.label == label) {
-            return Err(ScenarioError::DuplicateSection {
-                line: s.line,
-                section: s.display_name(),
-            });
-        }
 
         let metric_entry = s.require("metric")?;
         let metric = metric_entry.value.clone();
         if !kind.metrics().contains(&metric.as_str()) {
-            return Err(ScenarioError::BadValue {
-                line: metric_entry.line,
-                key: "metric".into(),
-                msg: format!(
-                    "unknown metric `{metric}` for kind {} (one of: {})",
-                    kind.name(),
-                    kind.metrics().join(", ")
-                ),
-            });
+            return Err(metric_entry.bad_value(format!(
+                "unknown metric `{metric}` for kind {} (one of: {})",
+                kind.name(),
+                kind.metrics().join(", ")
+            )));
         }
-        let known_marking = |value: &str, line: usize| -> Result<String, ScenarioError> {
-            if markings.iter().any(|(l, _)| l == value) {
-                Ok(value.to_string())
-            } else {
-                Err(ScenarioError::BadValue {
-                    line,
-                    key: "marking".into(),
-                    msg: format!("no [marking \"{value}\"] section in this scenario"),
-                })
+        // The two distinct markings an `ordered` or `ratio` check compares.
+        let marking_pair = || -> Result<(String, String), ScenarioError> {
+            let lesser_e = s.require("lesser")?;
+            let greater_e = s.require("greater")?;
+            let lesser = marking_label(markings, lesser_e)?;
+            let greater = marking_label(markings, greater_e)?;
+            if lesser == greater {
+                return Err(greater_e.bad_value("lesser and greater must differ"));
             }
+            Ok((lesser, greater))
         };
 
         let check_entry = s.require("check")?;
         let check = match check_entry.value.as_str() {
             "metric_range" => {
                 s.reject_unknown_keys(&["check", "metric", "marking", "flows", "min", "max"])?;
-                let marking = match s.get("marking") {
-                    Some(e) => Some(known_marking(&e.value, e.line)?),
-                    None => None,
-                };
+                let marking = s
+                    .get("marking")
+                    .map(|e| marking_label(markings, e))
+                    .transpose()?;
                 let flows = s.get("flows").map(parse_list_u32).transpose()?;
                 let min = s.get("min").map(parse_f64).transpose()?;
                 let max = s.get("max").map(parse_f64).transpose()?;
                 if min.is_none() && max.is_none() {
-                    return Err(ScenarioError::BadValue {
-                        line: check_entry.line,
-                        key: "check".into(),
-                        msg: "metric_range needs `min`, `max` or both".into(),
-                    });
+                    return Err(check_entry.bad_value("metric_range needs `min`, `max` or both"));
                 }
                 if let (Some(lo), Some(hi)) = (min, max) {
                     if lo > hi {
@@ -188,17 +175,7 @@ pub fn parse_expectations(
             }
             "ordered" => {
                 s.reject_unknown_keys(&["check", "metric", "lesser", "greater", "from_flows"])?;
-                let lesser_e = s.require("lesser")?;
-                let greater_e = s.require("greater")?;
-                let lesser = known_marking(&lesser_e.value, lesser_e.line)?;
-                let greater = known_marking(&greater_e.value, greater_e.line)?;
-                if lesser == greater {
-                    return Err(ScenarioError::BadValue {
-                        line: greater_e.line,
-                        key: "greater".into(),
-                        msg: "lesser and greater must differ".into(),
-                    });
-                }
+                let (lesser, greater) = marking_pair()?;
                 let from_flows = s.get("from_flows").map(parse_u32).transpose()?.unwrap_or(0);
                 ExpectCheck::Ordered {
                     metric,
@@ -210,18 +187,13 @@ pub fn parse_expectations(
             "monotone_increasing" => {
                 s.reject_unknown_keys(&["check", "metric", "marking", "min_ratio"])?;
                 let marking_e = s.require("marking")?;
-                let marking = known_marking(&marking_e.value, marking_e.line)?;
-                let min_ratio = s
-                    .get("min_ratio")
-                    .map(parse_f64)
-                    .transpose()?
-                    .unwrap_or(1.0);
-                if !(min_ratio.is_finite() && min_ratio > 0.0) {
-                    return Err(ScenarioError::OutOfRange {
-                        line: s.get("min_ratio").map_or(s.line, |e| e.line),
-                        key: "min_ratio".into(),
-                        msg: "min_ratio must be a positive number".into(),
-                    });
+                let marking = marking_label(markings, marking_e)?;
+                let mut min_ratio = 1.0;
+                if let Some(e) = s.get("min_ratio") {
+                    min_ratio = parse_f64(e)?;
+                    if !(min_ratio.is_finite() && min_ratio > 0.0) {
+                        return Err(e.out_of_range("min_ratio must be a positive number"));
+                    }
                 }
                 ExpectCheck::MonotoneIncreasing {
                     metric,
@@ -239,36 +211,22 @@ pub fn parse_expectations(
                     "max_ratio",
                     "min_ratio",
                 ])?;
-                let lesser_e = s.require("lesser")?;
-                let greater_e = s.require("greater")?;
-                let lesser = known_marking(&lesser_e.value, lesser_e.line)?;
-                let greater = known_marking(&greater_e.value, greater_e.line)?;
-                if lesser == greater {
-                    return Err(ScenarioError::BadValue {
-                        line: greater_e.line,
-                        key: "greater".into(),
-                        msg: "lesser and greater must differ".into(),
-                    });
-                }
+                let (lesser, greater) = marking_pair()?;
                 let flows = s.get("flows").map(parse_list_u32).transpose()?;
                 let max_e = s.require("max_ratio")?;
                 let max_ratio = parse_f64(max_e)?;
                 if !(max_ratio.is_finite() && max_ratio > 0.0) {
-                    return Err(ScenarioError::OutOfRange {
-                        line: max_e.line,
-                        key: "max_ratio".into(),
-                        msg: "max_ratio must be a positive number".into(),
-                    });
+                    return Err(max_e.out_of_range("max_ratio must be a positive number"));
                 }
-                let min_ratio = s.get("min_ratio").map(parse_f64).transpose()?;
-                if let Some(lo) = min_ratio {
+                let mut min_ratio = None;
+                if let Some(e) = s.get("min_ratio") {
+                    let lo = parse_f64(e)?;
                     if !(lo.is_finite() && lo >= 0.0 && lo < max_ratio) {
-                        return Err(ScenarioError::OutOfRange {
-                            line: s.get("min_ratio").map_or(s.line, |e| e.line),
-                            key: "min_ratio".into(),
-                            msg: format!("min_ratio must be in [0, {max_ratio})"),
-                        });
+                        return Err(
+                            e.out_of_range(format!("min_ratio must be in [0, {max_ratio})"))
+                        );
                     }
+                    min_ratio = Some(lo);
                 }
                 ExpectCheck::Ratio {
                     metric,
@@ -280,14 +238,10 @@ pub fn parse_expectations(
                 }
             }
             other => {
-                return Err(ScenarioError::BadValue {
-                    line: check_entry.line,
-                    key: "check".into(),
-                    msg: format!(
-                        "unknown check `{other}` \
+                return Err(check_entry.bad_value(format!(
+                    "unknown check `{other}` \
                          (metric_range/ordered/monotone_increasing/ratio)"
-                    ),
-                })
+                )))
             }
         };
         out.push(Expectation { label, check });

@@ -35,6 +35,7 @@
 mod artifact;
 mod envelope;
 mod error;
+mod kind;
 pub mod parse;
 mod runner;
 mod spec;
@@ -46,11 +47,14 @@ pub use envelope::{
     check_artifact, check_artifact_partial, CheckReport, ExpectCheck, Expectation, Violation,
 };
 pub use error::ScenarioError;
+pub use kind::{
+    CollectiveWorkloadSpec, DumbbellSpec, FatTreeSpec, FaultSpec, ScenarioKind, TestbedSpec,
+    MAX_FLUID_FLOWS,
+};
 pub use runner::{run_scenario, run_scenario_cached, run_scenario_supervised, CacheStats};
 pub use spec::{
-    CollectiveWorkloadSpec, DumbbellSpec, FatTreeSpec, FaultSpec, InjectFault, InjectSpec,
-    LimitsSpec, RunSpec, ScenarioKind, ScenarioSpec, TestbedSpec, TopologySpec, DEFAULT_RETRIES,
-    MAX_FLOWS, MAX_FLUID_FLOWS,
+    InjectFault, InjectSpec, LimitsSpec, RunSpec, ScenarioSpec, TopologySpec, DEFAULT_RETRIES,
+    MAX_FLOWS,
 };
 pub use supervise::CellError;
 pub use xval::{check_xval, XvalReport, XvalSpec, XvalViolation};

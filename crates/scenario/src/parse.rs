@@ -10,8 +10,8 @@
 //!
 //! This module parses the *shape* (sections, keys, raw values, line
 //! numbers) plus the unit-suffixed value grammar (`30 ms`, `10 Gbps`,
-//! `40 pkts`, `64 KB`, lists). The (private) `spec` module turns the
-//! shape into a typed [`crate::ScenarioSpec`].
+//! `40 pkts`, `64 KB`, lists). The (private) `spec` and `kind` modules
+//! turn the shape into a typed [`crate::ScenarioSpec`].
 
 use dctcp_core::QueueLevel;
 use dctcp_sim::{Capacity, SimDuration};
@@ -27,6 +27,26 @@ pub struct RawEntry {
     pub value: String,
     /// 1-based source line.
     pub line: usize,
+}
+
+impl RawEntry {
+    /// A [`ScenarioError::BadValue`] at this entry.
+    pub(crate) fn bad_value(&self, msg: impl Into<String>) -> ScenarioError {
+        ScenarioError::BadValue {
+            line: self.line,
+            key: self.key.clone(),
+            msg: msg.into(),
+        }
+    }
+
+    /// A [`ScenarioError::OutOfRange`] at this entry.
+    pub(crate) fn out_of_range(&self, msg: impl Into<String>) -> ScenarioError {
+        ScenarioError::OutOfRange {
+            line: self.line,
+            key: self.key.clone(),
+            msg: msg.into(),
+        }
+    }
 }
 
 /// One `[name]` or `[name "label"]` section with its entries.
@@ -71,6 +91,20 @@ impl RawSection {
             section: self.display_name(),
             key: key.to_string(),
         })
+    }
+
+    /// Overwrites `field` with `key`'s value, parsed, when the key is
+    /// present; the idiom for every optional key with a default.
+    pub(crate) fn parse_into<T>(
+        &self,
+        key: &str,
+        field: &mut T,
+        parse: impl FnOnce(&RawEntry) -> Result<T, ScenarioError>,
+    ) -> Result<(), ScenarioError> {
+        if let Some(e) = self.get(key) {
+            *field = parse(e)?;
+        }
+        Ok(())
     }
 
     /// Errors on any entry whose key is not in `allowed` — the guard
@@ -238,14 +272,6 @@ fn is_ident(s: &str) -> bool {
         .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '-')
 }
 
-fn bad(entry: &RawEntry, msg: impl Into<String>) -> ScenarioError {
-    ScenarioError::BadValue {
-        line: entry.line,
-        key: entry.key.clone(),
-        msg: msg.into(),
-    }
-}
-
 /// Splits `12.5 ms` into the numeric part and the (possibly empty)
 /// suffix.
 fn split_unit(value: &str) -> (&str, &str) {
@@ -267,28 +293,28 @@ pub fn parse_duration(entry: &RawEntry) -> Result<SimDuration, ScenarioError> {
     let (num, unit) = split_unit(&entry.value);
     let v: f64 = num
         .parse()
-        .map_err(|_| bad(entry, format!("`{num}` is not a number")))?;
+        .map_err(|_| entry.bad_value(format!("`{num}` is not a number")))?;
     let scale = match unit {
         "ns" => 1e-9,
         "us" => 1e-6,
         "ms" => 1e-3,
         "s" => 1.0,
-        "" => return Err(bad(entry, "missing duration unit (ns/us/ms/s)")),
-        u => {
-            return Err(bad(
-                entry,
-                format!("unknown duration unit `{u}` (ns/us/ms/s)"),
-            ))
-        }
+        "" => return Err(entry.bad_value("missing duration unit (ns/us/ms/s)")),
+        u => return Err(entry.bad_value(format!("unknown duration unit `{u}` (ns/us/ms/s)"))),
     };
     if v < 0.0 {
-        return Err(ScenarioError::OutOfRange {
-            line: entry.line,
-            key: entry.key.clone(),
-            msg: "duration must not be negative".into(),
-        });
+        return Err(entry.out_of_range("duration must not be negative"));
     }
     Ok(SimDuration::from_secs_f64(v * scale))
+}
+
+/// [`parse_duration`] for keys where zero is meaningless.
+pub(crate) fn parse_positive_duration(entry: &RawEntry) -> Result<SimDuration, ScenarioError> {
+    let d = parse_duration(entry)?;
+    if d == SimDuration::ZERO {
+        return Err(entry.out_of_range("must be positive"));
+    }
+    Ok(d)
 }
 
 /// Parses a link rate: `10 Gbps`, `800 Mbps`, `1000000 bps`.
@@ -300,26 +326,17 @@ pub fn parse_rate_bps(entry: &RawEntry) -> Result<u64, ScenarioError> {
     let (num, unit) = split_unit(&entry.value);
     let v: f64 = num
         .parse()
-        .map_err(|_| bad(entry, format!("`{num}` is not a number")))?;
+        .map_err(|_| entry.bad_value(format!("`{num}` is not a number")))?;
     let scale = match unit {
         "Gbps" => 1e9,
         "Mbps" => 1e6,
         "Kbps" => 1e3,
         "bps" => 1.0,
-        "" => return Err(bad(entry, "missing rate unit (Gbps/Mbps/Kbps/bps)")),
-        u => {
-            return Err(bad(
-                entry,
-                format!("unknown rate unit `{u}` (Gbps/Mbps/Kbps/bps)"),
-            ))
-        }
+        "" => return Err(entry.bad_value("missing rate unit (Gbps/Mbps/Kbps/bps)")),
+        u => return Err(entry.bad_value(format!("unknown rate unit `{u}` (Gbps/Mbps/Kbps/bps)"))),
     };
     if v <= 0.0 {
-        return Err(ScenarioError::OutOfRange {
-            line: entry.line,
-            key: entry.key.clone(),
-            msg: "rate must be positive".into(),
-        });
+        return Err(entry.out_of_range("rate must be positive"));
     }
     Ok((v * scale) as u64)
 }
@@ -331,26 +348,21 @@ pub fn parse_rate_bps(entry: &RawEntry) -> Result<u64, ScenarioError> {
 /// Returns [`ScenarioError::BadValue`] / [`ScenarioError::OutOfRange`].
 pub fn parse_level(entry: &RawEntry) -> Result<QueueLevel, ScenarioError> {
     let (num, unit) = split_unit(&entry.value);
-    let err_nan = || bad(entry, format!("`{num}` is not a whole number"));
-    let out_of_range = |msg: &str| ScenarioError::OutOfRange {
-        line: entry.line,
-        key: entry.key.clone(),
-        msg: msg.into(),
-    };
+    let err_nan = || entry.bad_value(format!("`{num}` is not a whole number"));
     let level = match unit {
         "pkts" | "pkt" => QueueLevel::Packets(num.parse().map_err(|_| err_nan())?),
         "KB" => QueueLevel::Bytes(num.parse::<u64>().map_err(|_| err_nan())? * 1024),
         "MB" => QueueLevel::Bytes(num.parse::<u64>().map_err(|_| err_nan())? * 1024 * 1024),
         "bytes" | "B" => QueueLevel::Bytes(num.parse().map_err(|_| err_nan())?),
-        "" => return Err(bad(entry, "missing unit (pkts/KB/MB/bytes)")),
-        u => return Err(bad(entry, format!("unknown unit `{u}` (pkts/KB/MB/bytes)"))),
+        "" => return Err(entry.bad_value("missing unit (pkts/KB/MB/bytes)")),
+        u => return Err(entry.bad_value(format!("unknown unit `{u}` (pkts/KB/MB/bytes)"))),
     };
     let zero = match level {
         QueueLevel::Packets(p) => p == 0,
         QueueLevel::Bytes(b) => b == 0,
     };
     if zero {
-        return Err(out_of_range("level must be positive"));
+        return Err(entry.out_of_range("level must be positive"));
     }
     Ok(level)
 }
@@ -376,7 +388,9 @@ pub fn parse_capacity(entry: &RawEntry) -> Result<Capacity, ScenarioError> {
 pub fn parse_bytes(entry: &RawEntry) -> Result<u64, ScenarioError> {
     match parse_level(entry)? {
         QueueLevel::Bytes(b) => Ok(b),
-        QueueLevel::Packets(_) => Err(bad(entry, "expected a byte size (KB/MB/bytes), not pkts")),
+        QueueLevel::Packets(_) => {
+            Err(entry.bad_value("expected a byte size (KB/MB/bytes), not pkts"))
+        }
     }
 }
 
@@ -389,7 +403,7 @@ pub fn parse_f64(entry: &RawEntry) -> Result<f64, ScenarioError> {
     entry
         .value
         .parse()
-        .map_err(|_| bad(entry, format!("`{}` is not a number", entry.value)))
+        .map_err(|_| entry.bad_value(format!("`{}` is not a number", entry.value)))
 }
 
 /// Parses a bare unsigned integer.
@@ -401,7 +415,7 @@ pub fn parse_u64(entry: &RawEntry) -> Result<u64, ScenarioError> {
     entry
         .value
         .parse()
-        .map_err(|_| bad(entry, format!("`{}` is not a whole number", entry.value)))
+        .map_err(|_| entry.bad_value(format!("`{}` is not a whole number", entry.value)))
 }
 
 /// Parses a bare `u32`.
@@ -413,7 +427,15 @@ pub fn parse_u32(entry: &RawEntry) -> Result<u32, ScenarioError> {
     entry
         .value
         .parse()
-        .map_err(|_| bad(entry, format!("`{}` is not a whole number", entry.value)))
+        .map_err(|_| entry.bad_value(format!("`{}` is not a whole number", entry.value)))
+}
+
+/// [`parse_u32`] for counts where zero is meaningless.
+pub(crate) fn parse_positive_u32(entry: &RawEntry) -> Result<u32, ScenarioError> {
+    match parse_u32(entry)? {
+        0 => Err(entry.out_of_range("must be positive")),
+        n => Ok(n),
+    }
 }
 
 /// Parses a comma-separated list of `u32` (`2, 8, 32`).
@@ -422,18 +444,7 @@ pub fn parse_u32(entry: &RawEntry) -> Result<u32, ScenarioError> {
 ///
 /// Returns [`ScenarioError::BadValue`] for malformed or empty lists.
 pub fn parse_list_u32(entry: &RawEntry) -> Result<Vec<u32>, ScenarioError> {
-    let mut out = Vec::new();
-    for part in entry.value.split(',') {
-        let part = part.trim();
-        if part.is_empty() {
-            return Err(bad(entry, "empty element in list"));
-        }
-        out.push(
-            part.parse()
-                .map_err(|_| bad(entry, format!("`{part}` is not a whole number")))?,
-        );
-    }
-    Ok(out)
+    parse_list(entry)
 }
 
 /// Parses a comma-separated list of `u64`.
@@ -442,18 +453,21 @@ pub fn parse_list_u32(entry: &RawEntry) -> Result<Vec<u32>, ScenarioError> {
 ///
 /// Returns [`ScenarioError::BadValue`] for malformed or empty lists.
 pub fn parse_list_u64(entry: &RawEntry) -> Result<Vec<u64>, ScenarioError> {
-    let mut out = Vec::new();
-    for part in entry.value.split(',') {
-        let part = part.trim();
-        if part.is_empty() {
-            return Err(bad(entry, "empty element in list"));
-        }
-        out.push(
-            part.parse()
-                .map_err(|_| bad(entry, format!("`{part}` is not a whole number")))?,
-        );
-    }
-    Ok(out)
+    parse_list(entry)
+}
+
+/// A non-empty comma-separated list of whole numbers.
+fn parse_list<T: std::str::FromStr>(entry: &RawEntry) -> Result<Vec<T>, ScenarioError> {
+    entry
+        .value
+        .split(',')
+        .map(|part| match part.trim() {
+            "" => Err(entry.bad_value("empty element in list")),
+            part => part
+                .parse()
+                .map_err(|_| entry.bad_value(format!("`{part}` is not a whole number"))),
+        })
+        .collect()
 }
 
 /// Parses a `from .. until` window of durations (`20 ms .. 30 ms`).
@@ -464,7 +478,7 @@ pub fn parse_list_u64(entry: &RawEntry) -> Result<Vec<u64>, ScenarioError> {
 /// [`ScenarioError::OutOfRange`] when `from >= until`.
 pub fn parse_window(entry: &RawEntry) -> Result<(SimDuration, SimDuration), ScenarioError> {
     let Some((a, b)) = entry.value.split_once("..") else {
-        return Err(bad(entry, "expected `<from> .. <until>`"));
+        return Err(entry.bad_value("expected `<from> .. <until>`"));
     };
     let sub = |v: &str| RawEntry {
         key: entry.key.clone(),
@@ -474,11 +488,7 @@ pub fn parse_window(entry: &RawEntry) -> Result<(SimDuration, SimDuration), Scen
     let from = parse_duration(&sub(a))?;
     let until = parse_duration(&sub(b))?;
     if from >= until {
-        return Err(ScenarioError::OutOfRange {
-            line: entry.line,
-            key: entry.key.clone(),
-            msg: "window start must precede its end".into(),
-        });
+        return Err(entry.out_of_range("window start must precede its end"));
     }
     Ok((from, until))
 }

@@ -40,27 +40,20 @@ use std::time::Duration;
 
 use dctcp_cache::{Cache, CacheKey, FailureRecord, Journal, KeyBuilder};
 use dctcp_parallel::{par_map, run_isolated};
-use dctcp_sim::{CancelToken, FaultPlan, SimError, SimTime};
-use dctcp_stats::oscillation;
-use dctcp_workloads::{
-    run_collective, run_query_rounds_supervised, CollectiveConfig, FctScenario, LongLivedScenario,
-    QueryWorkload, TestbedConfig,
-};
+use dctcp_sim::{CancelToken, SimError, SimTime};
 
 use crate::artifact::{Artifact, FailureCell, Point, ARTIFACT_SCHEMA};
-use crate::spec::{
-    DumbbellSpec, FatTreeSpec, InjectFault, ScenarioKind, ScenarioSpec, TestbedSpec,
-};
+use crate::spec::{InjectFault, ScenarioSpec};
 use crate::supervise::{CellError, Watchdog};
 use crate::ScenarioError;
 
 /// One (marking, flows, seed) cell awaiting execution.
 #[derive(Debug, Clone)]
-struct Cell {
-    label: String,
-    scheme: dctcp_core::MarkingScheme,
-    flows: u32,
-    seed: u64,
+pub(crate) struct Cell {
+    pub label: String,
+    pub scheme: dctcp_core::MarkingScheme,
+    pub flows: u32,
+    pub seed: u64,
 }
 
 /// Cache and supervision traffic counters for one scenario run.
@@ -145,8 +138,8 @@ pub fn run_scenario_supervised(
     let seeds: &[u64] = if spec.kind.sweeps_seeds() {
         &spec.run.seeds
     } else {
-        // Long-lived runs are seed-free (fully deterministic); pin the
-        // artifact's seed column to 1.
+        // Seed-free kinds are fully deterministic; pin the artifact's
+        // seed column to 1.
         &[1]
     };
     let mut cells = Vec::with_capacity(spec.num_points());
@@ -187,7 +180,10 @@ pub fn run_scenario_supervised(
         let hit = cache
             .zip(key)
             .and_then(|(c, k)| c.get(k))
-            .filter(|metrics| metric_names_match(spec.kind, metrics));
+            .filter(|metrics| {
+                let names = metrics.iter().map(|(name, _)| name.as_str());
+                names.eq(spec.kind.metrics().iter().copied())
+            });
         if let Some(metrics) = hit {
             stats.hits += 1;
             slots[idx] = Some(Slot::Point(Point {
@@ -429,48 +425,8 @@ fn cell_key(spec: &ScenarioSpec, cell: &Cell, fingerprint: &str) -> CacheKey {
                 .injection_for(&cell.label, cell.flows, cell.seed)
                 .map_or("none", InjectFault::name),
         );
-    match spec.kind {
-        ScenarioKind::LongLived => {
-            kb.field("warmup_ns", &spec.run.warmup.as_nanos().to_string())
-                .field("duration_ns", &spec.run.duration.as_nanos().to_string())
-                .field("trace_ns", &spec.run.trace_interval.as_nanos().to_string())
-                .field("stagger_ns", &spec.run.stagger.as_nanos().to_string())
-                .field("faults", &format!("{:?}", spec.faults));
-        }
-        ScenarioKind::Incast | ScenarioKind::PartitionAggregate => {
-            kb.field("rounds", &spec.run.rounds.to_string())
-                .field("bytes", &spec.run.bytes.to_string());
-        }
-        // The fat-tree topology (k, tiers, ecmp_seed) is already key
-        // material via the `topology` Debug field above; the workload
-        // shape (pattern, chunk, phase gap, horizon) joins it here.
-        ScenarioKind::Collective => {
-            kb.field("bytes", &spec.run.bytes.to_string())
-                .field("workload", &format!("{:?}", spec.workload));
-        }
-        ScenarioKind::Fluid => {
-            kb.field("warmup_ns", &spec.run.warmup.as_nanos().to_string())
-                .field("duration_ns", &spec.run.duration.as_nanos().to_string())
-                .field("dt_ns", &spec.run.dt.as_nanos().to_string())
-                .field("trace_ns", &spec.run.trace_interval.as_nanos().to_string());
-        }
-        // The churn workload (load, size CDF, racks, slab, class
-        // bounds, deadlines, drain) joins the windows as key material
-        // via its exhaustive Debug rendering.
-        ScenarioKind::Fct => {
-            kb.field("warmup_ns", &spec.run.warmup.as_nanos().to_string())
-                .field("duration_ns", &spec.run.duration.as_nanos().to_string())
-                .field("workload", &format!("{:?}", spec.fct));
-        }
-    }
+    spec.kind.imp().key_fields(spec, &mut kb);
     kb.finish()
-}
-
-/// Whether cached metrics carry exactly the kind's metric names, in
-/// artifact order.
-fn metric_names_match(kind: ScenarioKind, metrics: &[(String, f64)]) -> bool {
-    let expected = kind.metrics();
-    metrics.len() == expected.len() && metrics.iter().zip(expected).all(|((name, _), e)| name == e)
 }
 
 /// Simulates one cell (no supervision) and returns its metric rows in
@@ -480,345 +436,17 @@ fn run_cell_raw(
     cell: &Cell,
     cancel: Option<CancelToken>,
 ) -> Result<Vec<(String, f64)>, SimError> {
-    match (spec.kind, &spec.topology) {
-        (ScenarioKind::LongLived, crate::spec::TopologySpec::Dumbbell(d)) => {
-            run_long_lived_cell(spec, d, cell, cancel)
-        }
-        (ScenarioKind::Collective, crate::spec::TopologySpec::FatTree(f)) => {
-            run_collective_cell(spec, f, cell, cancel)
-        }
-        (ScenarioKind::Fluid, crate::spec::TopologySpec::Dumbbell(d)) => {
-            run_fluid_cell(spec, d, cell)
-        }
-        (ScenarioKind::Fct, crate::spec::TopologySpec::Dumbbell(d)) => {
-            run_fct_cell(spec, d, cell, cancel)
-        }
-        (ScenarioKind::Incast | ScenarioKind::PartitionAggregate, t) => match t {
-            crate::spec::TopologySpec::Testbed(t) => run_query_cell(spec, t, cell, cancel),
-            _ => Err(SimError::InvalidConfig("kind/topology mismatch".into())),
-        },
-        _ => Err(SimError::InvalidConfig("kind/topology mismatch".into())),
-    }
+    spec.kind.imp().run_cell(spec, cell, cancel)
 }
 
-fn run_collective_cell(
-    spec: &ScenarioSpec,
-    f: &FatTreeSpec,
-    cell: &Cell,
-    cancel: Option<CancelToken>,
-) -> Result<Vec<(String, f64)>, dctcp_sim::SimError> {
-    let w = spec.workload.ok_or_else(|| {
-        SimError::InvalidConfig("collective scenario lacks a [workload collective] section".into())
-    })?;
-    let cfg = CollectiveConfig {
-        k: f.k,
-        hosts_per_edge: f.hosts_per_edge,
-        pattern: w.pattern,
-        participants: cell.flows,
-        bytes_per_flow: spec.run.bytes,
-        chunk: w.chunk,
-        phase_gap: w.phase_gap,
-        horizon: w.horizon,
-        seed: cell.seed,
-        marking: cell.scheme,
-        tcp: spec.tcp,
-        host_gbps: f.host_bps as f64 / 1e9,
-        agg_gbps: f.agg_bps as f64 / 1e9,
-        core_gbps: f.core_bps as f64 / 1e9,
-        delay_us: f.delay.as_nanos() / 1000,
-        buffer: f.buffer,
-        ecmp_seed: f.ecmp_seed,
-    };
-    let report = run_collective(&cfg, cancel)?;
-    // An unfinished collective would poison every downstream envelope
-    // with sentinel values; surface it as a cell failure instead (the
-    // horizon is configuration, so the message is byte-stable).
-    let completion = report.completion.ok_or_else(|| {
-        SimError::InvalidConfig(format!(
-            "collective did not complete within the {:?} horizon",
-            w.horizon
-        ))
-    })?;
-    Ok(vec![
-        ("completion_ms".into(), completion * 1e3),
-        ("goodput_mbps".into(), report.goodput_bps / 1e6),
-        ("queue_mean".into(), report.core_queue.mean),
-        ("queue_std".into(), report.core_queue.std),
-        ("queue_max".into(), report.core_queue.max),
-        ("marks".into(), report.marks as f64),
-        ("drops".into(), report.drops as f64),
-        ("timeouts".into(), report.timeouts as f64),
-    ])
-}
-
-fn run_long_lived_cell(
-    spec: &ScenarioSpec,
-    d: &DumbbellSpec,
-    cell: &Cell,
-    cancel: Option<CancelToken>,
-) -> Result<Vec<(String, f64)>, dctcp_sim::SimError> {
-    let scenario = LongLivedScenario::builder()
-        .flows(cell.flows)
-        .bottleneck_gbps(d.bottleneck_bps as f64 / 1e9)
-        .rtt_us(d.rtt.as_secs_f64() * 1e6)
-        .marking(cell.scheme)
-        .tcp(spec.tcp)
-        .buffer(d.buffer)
-        .warmup_secs(spec.run.warmup.as_secs_f64())
-        .duration_secs(spec.run.duration.as_secs_f64())
-        .trace_interval(spec.run.trace_interval)
-        .start_stagger(spec.run.stagger)
-        .build()?;
-    let faults = spec.faults;
-    let report = scenario.run_supervised(cancel, |i| {
-        let mut plan = FaultPlan::new();
-        if let Some((from, until)) = faults.bleach {
-            plan = plan.bleach_window(i.bottleneck, SimTime::ZERO + from, SimTime::ZERO + until);
-        }
-        if let Some((from, until)) = faults.down {
-            plan = plan
-                .at(
-                    SimTime::ZERO + from,
-                    i.bottleneck,
-                    dctcp_sim::FaultAction::LinkDown,
-                )
-                .at(
-                    SimTime::ZERO + until,
-                    i.bottleneck,
-                    dctcp_sim::FaultAction::LinkUp,
-                );
-        }
-        plan
-    })?;
-
-    let osc = match &report.trace {
-        Some(trace) => oscillation(trace),
-        None => dctcp_stats::OscillationSummary::none(),
-    };
-    let duration_s = spec.run.duration.as_secs_f64();
-    Ok(vec![
-        ("queue_mean".into(), report.queue.mean),
-        ("queue_std".into(), report.queue.std),
-        ("queue_max".into(), report.queue.max),
-        ("osc_amplitude".into(), osc.mean_amplitude),
-        ("osc_max_amplitude".into(), osc.max_amplitude),
-        ("osc_cycles".into(), osc.cycles as f64),
-        ("mark_rate".into(), report.marks as f64 / duration_s),
-        ("marks".into(), report.marks as f64),
-        ("drops".into(), report.drops as f64),
-        ("timeouts".into(), report.timeouts as f64),
-        ("alpha_mean".into(), finite(report.alpha.mean())),
-        ("utilization".into(), report.utilization(d.bottleneck_bps)),
-        ("goodput_gbps".into(), report.goodput_bps / 1e9),
-    ])
-}
-
-/// Integrates one fluid-model cell: the DDE at the cell's operating
-/// point, reduced to the kind's metric rows. Milliseconds of wall clock
-/// per cell, so cooperative cancellation is not threaded through — the
-/// cell finishes long before any watchdog deadline.
-fn run_fluid_cell(
-    spec: &ScenarioSpec,
-    d: &DumbbellSpec,
-    cell: &Cell,
-) -> Result<Vec<(String, f64)>, dctcp_sim::SimError> {
-    use dctcp_core::QueueLevel;
-    use dctcp_fluid::{FluidMarking, FluidParams, FluidRunConfig};
-
-    // The parser already restricts fluid markings to packet-denominated
-    // dctcp / dt-dctcp; this re-check keeps programmatic callers honest.
-    let marking = match cell.scheme {
-        dctcp_core::MarkingScheme::Dctcp {
-            k: QueueLevel::Packets(k),
-        } => FluidMarking::Relay { k: f64::from(k) },
-        dctcp_core::MarkingScheme::DtDctcp {
-            k1: QueueLevel::Packets(k1),
-            k2: QueueLevel::Packets(k2),
-        } => FluidMarking::Hysteresis {
-            k1: f64::from(k1),
-            k2: f64::from(k2),
-        },
-        _ => {
-            return Err(SimError::InvalidConfig(
-                "fluid cells support only packet-denominated dctcp / dt-dctcp markings".into(),
-            ))
-        }
-    };
-    let g = match spec.tcp.cc {
-        dctcp_tcp::CongestionControl::Dctcp { g }
-        | dctcp_tcp::CongestionControl::D2tcp { g, .. } => g,
-        _ => {
-            return Err(SimError::InvalidConfig(
-                "fluid cells model DCTCP dynamics and need a dctcp [tcp] config".into(),
-            ))
-        }
-    };
-    let params = FluidParams {
-        // Packet-denominated capacity at the paper's 1500 B MTU, the
-        // same conversion `PlantParams::from_link` uses.
-        capacity_pps: d.bottleneck_bps as f64 / (8.0 * 1500.0),
-        flows: f64::from(cell.flows),
-        rtt: d.rtt.as_secs_f64(),
-        g,
-        marking,
-        w_init: 1.0,
-        alpha_init: 0.0,
-        q_init: 0.0,
-    };
-    let dt = spec.run.dt.as_secs_f64();
-    let cfg = FluidRunConfig {
-        dt,
-        duration: (spec.run.warmup + spec.run.duration).as_secs_f64(),
-        transient: spec.run.warmup.as_secs_f64(),
-        sample_every: (spec.run.trace_interval.as_secs_f64() / dt)
-            .round()
-            .max(1.0) as usize,
-    };
-    let point = dctcp_fluid::sweep::evaluate(&params, &cfg)
-        .map_err(|e| SimError::InvalidConfig(format!("fluid cell: {e}")))?;
-    Ok(vec![
-        ("queue_mean".into(), finite(point.queue_mean)),
-        ("queue_std".into(), finite(point.queue_std)),
-        ("queue_max".into(), finite(point.queue_max)),
-        ("osc_amplitude".into(), finite(point.osc_amplitude)),
-        ("osc_freq_hz".into(), finite(point.osc_freq_hz)),
-        ("osc_cycles".into(), finite(point.osc_cycles)),
-        ("w_mean".into(), finite(point.w_mean)),
-        ("alpha_mean".into(), finite(point.alpha_mean)),
-        ("marking_duty".into(), finite(point.marking_duty)),
-        ("utilization".into(), finite(point.utilization)),
-    ])
-}
-
-/// Runs one open-loop churn cell: `cell.flows` churn sources split
-/// evenly over the workload's racks, each rack bottlenecked into its
-/// sink by the marking under test, reduced to per-size-class FCT tails
-/// plus the open-loop conservation counters.
-fn run_fct_cell(
-    spec: &ScenarioSpec,
-    d: &DumbbellSpec,
-    cell: &Cell,
-    cancel: Option<CancelToken>,
-) -> Result<Vec<(String, f64)>, dctcp_sim::SimError> {
-    let w = spec.fct.as_ref().ok_or_else(|| {
-        SimError::InvalidConfig("fct scenario lacks a [workload fct] section".into())
-    })?;
-    // The parser enforces both; re-checked for programmatic callers.
-    if w.racks == 0 || cell.flows % w.racks != 0 || cell.flows < w.racks {
-        return Err(SimError::InvalidConfig(format!(
-            "fct source count {} is not a positive multiple of racks = {}",
-            cell.flows, w.racks
-        )));
-    }
-    let sizes = dctcp_workloads::sizes::by_name(&w.size_dist).ok_or_else(|| {
-        SimError::InvalidConfig(format!("unknown size distribution `{}`", w.size_dist))
-    })?;
-    let mut builder = FctScenario::builder()
-        .racks(w.racks)
-        .sources_per_rack(cell.flows / w.racks)
-        .bottleneck_gbps(d.bottleneck_bps as f64 / 1e9)
-        .rtt_us(d.rtt.as_secs_f64() * 1e6)
-        .load(w.load)
-        .marking(cell.scheme)
-        .tcp(spec.tcp)
-        .buffer(d.buffer)
-        .sizes(sizes)
-        .class_bounds([w.short_bytes, w.long_bytes])
-        .slots(w.slots)
-        .seed(cell.seed)
-        .warmup_secs(spec.run.warmup.as_secs_f64())
-        .duration_secs(spec.run.duration.as_secs_f64())
-        .drain_secs(w.drain.as_secs_f64());
-    if let Some(slack) = w.deadline_slack {
-        builder = builder.deadline_slack(slack);
-    }
-    let report = builder
-        .build()?
-        .run_supervised(cancel, |_| FaultPlan::new())?;
-
-    // An empty size class renders its quantiles as 0 rather than
-    // omitting the row — artifacts always carry the kind's full metric
-    // set, and an envelope pinning an empty class fails loudly on the
-    // zero instead of silently matching nothing.
-    let fct = |class: usize, q: f64| finite(report.fct_ms(class, q).unwrap_or(0.0));
-    Ok(vec![
-        ("fct_short_p50_ms".into(), fct(0, 0.50)),
-        ("fct_short_p99_ms".into(), fct(0, 0.99)),
-        ("fct_short_p999_ms".into(), fct(0, 0.999)),
-        ("fct_mid_p50_ms".into(), fct(1, 0.50)),
-        ("fct_mid_p99_ms".into(), fct(1, 0.99)),
-        ("fct_mid_p999_ms".into(), fct(1, 0.999)),
-        ("fct_long_p50_ms".into(), fct(2, 0.50)),
-        ("fct_long_p99_ms".into(), fct(2, 0.99)),
-        ("fct_long_p999_ms".into(), fct(2, 0.999)),
-        ("goodput_gbps".into(), finite(report.goodput_bps / 1e9)),
-        (
-            "deadline_miss_rate".into(),
-            finite(report.deadline_miss_rate()),
-        ),
-        ("flows_started".into(), report.started as f64),
-        ("flows_completed".into(), report.completed as f64),
-    ])
-}
-
-fn run_query_cell(
-    spec: &ScenarioSpec,
-    t: &TestbedSpec,
-    cell: &Cell,
-    cancel: Option<CancelToken>,
-) -> Result<Vec<(String, f64)>, dctcp_sim::SimError> {
-    let mut cfg = TestbedConfig::paper(cell.scheme);
-    cfg.tcp = spec.tcp;
-    cfg.bottleneck_buffer = t.bottleneck_buffer;
-    cfg.other_buffer = t.other_buffer;
-    cfg.link_gbps = t.link_bps as f64 / 1e9;
-    cfg.link_delay_us = t.link_delay.as_nanos() / 1000;
-
-    let mut wl = match spec.kind {
-        ScenarioKind::Incast => QueryWorkload::incast(cell.flows, spec.run.rounds),
-        _ => QueryWorkload::partition_aggregate(cell.flows, spec.run.rounds),
-    };
-    wl.seed = cell.seed;
-    wl.bytes_per_flow = match spec.kind {
-        ScenarioKind::Incast => spec.run.bytes,
-        _ => spec.run.bytes / u64::from(cell.flows),
-    };
-
-    // The outer matrix already saturates the worker pool; run the
-    // rounds of one cell serially to keep the fan-out single-level.
-    let report = run_query_rounds_supervised(&cfg, &wl, 1, cancel)?;
-
-    let mut q = report.completions();
-    let in_ms = |v: Option<f64>| v.map_or(0.0, |s| s * 1e3);
-    let completed = report
-        .rounds
-        .iter()
-        .filter(|r| r.completion.is_some())
-        .count();
-    let drops: u64 = report.rounds.iter().map(|r| r.drops).sum();
-    Ok(vec![
-        ("goodput_mbps".into(), report.mean_goodput_bps() / 1e6),
-        ("completion_mean_ms".into(), in_ms(q.mean())),
-        ("completion_p95_ms".into(), in_ms(q.quantile(0.95))),
-        ("completion_p99_ms".into(), in_ms(q.quantile(0.99))),
-        ("timeout_frac".into(), report.timeout_fraction()),
-        ("rounds_completed".into(), completed as f64),
-        ("drops".into(), drops as f64),
-    ])
-}
-
-fn finite(v: f64) -> f64 {
-    if v.is_finite() {
-        v
-    } else {
-        0.0
-    }
-}
+#[cfg(test)]
+mod key_pin;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::spec::ScenarioSpec;
+    use crate::ScenarioKind;
 
     // One tiny end-to-end run: the cheapest long-lived matrix that still
     // exercises tracing, oscillation metrics and determinism.
@@ -1313,7 +941,9 @@ k2 = 25 pkts
 
     #[test]
     fn deadline_trips_quarantine_with_config_only_message() {
-        let spec = two_cell_spec_with("retries = 0\ndeadline = 50 ms\ninject_stall = dctcp:2:1\n");
+        // The deadline is shared by both cells, so it must clear the
+        // healthy one (~0.1 s in a debug build) by a wide margin.
+        let spec = two_cell_spec_with("retries = 0\ndeadline = 2 s\ninject_stall = dctcp:2:1\n");
         let (a, s) = run_scenario_supervised(&spec, 2, None);
         assert_eq!(a.points.len(), 1);
         assert_eq!(a.failures.len(), 1);
@@ -1379,7 +1009,7 @@ k2 = 25 pkts
     fn deadline_failures_are_never_replayed() {
         // A deadline miss depends on machine speed, so resumes re-run
         // the cell instead of trusting the journal.
-        let spec = two_cell_spec_with("retries = 0\ndeadline = 50 ms\ninject_stall = dctcp:2:1\n");
+        let spec = two_cell_spec_with("retries = 0\ndeadline = 2 s\ninject_stall = dctcp:2:1\n");
         let cache = tmp_cache("deadline");
 
         let (cold, s) = run_scenario_supervised(&spec, 2, Some(&cache));

@@ -23,8 +23,9 @@
 
 use crate::artifact::Artifact;
 use crate::parse::{parse_f64, parse_list_u32, Document};
-use crate::spec::{RunSpec, ScenarioKind};
+use crate::spec::{marking_label, RunSpec};
 use crate::ScenarioError;
+use crate::ScenarioKind;
 
 /// One `[xval "label"]` section: a relative-error band between a fluid
 /// metric and a packet anchor's metric at shared flow counts.
@@ -103,7 +104,7 @@ pub fn parse_xvals(
 ) -> Result<Vec<XvalSpec>, ScenarioError> {
     let mut out: Vec<XvalSpec> = Vec::new();
     for s in doc.sections_named("xval") {
-        if kind != ScenarioKind::Fluid {
+        if !kind.imp().takes_xval() {
             return Err(ScenarioError::Syntax {
                 line: s.line,
                 msg: format!(
@@ -116,12 +117,6 @@ pub fn parse_xvals(
             line: s.line,
             msg: "xval sections need a label: [xval \"amplitude-vs-fig05\"]".into(),
         })?;
-        if out.iter().any(|x| x.label == label) {
-            return Err(ScenarioError::DuplicateSection {
-                line: s.line,
-                section: s.display_name(),
-            });
-        }
         s.reject_unknown_keys(&[
             "packet",
             "metric",
@@ -137,24 +132,18 @@ pub fn parse_xvals(
         if packet_scenario.is_empty()
             || packet_scenario.contains(|c: char| c.is_whitespace() || c == '/')
         {
-            return Err(ScenarioError::BadValue {
-                line: packet_entry.line,
-                key: "packet".into(),
-                msg: "packet must be a scenario name without spaces or `/`".into(),
-            });
+            return Err(
+                packet_entry.bad_value("packet must be a scenario name without spaces or `/`")
+            );
         }
 
         let metric_entry = s.require("metric")?;
         let metric = metric_entry.value.clone();
-        if !ScenarioKind::Fluid.metrics().contains(&metric.as_str()) {
-            return Err(ScenarioError::BadValue {
-                line: metric_entry.line,
-                key: "metric".into(),
-                msg: format!(
-                    "unknown fluid metric `{metric}` (one of: {})",
-                    ScenarioKind::Fluid.metrics().join(", ")
-                ),
-            });
+        if !kind.metrics().contains(&metric.as_str()) {
+            return Err(metric_entry.bad_value(format!(
+                "unknown fluid metric `{metric}` (one of: {})",
+                kind.metrics().join(", ")
+            )));
         }
         // The anchor's metric name belongs to another scenario's kind;
         // `fluid_check` validates it against the loaded artifact.
@@ -162,46 +151,24 @@ pub fn parse_xvals(
             .get("packet_metric")
             .map_or_else(|| metric.clone(), |e| e.value.clone());
 
-        let marking_entry = s.require("marking")?;
-        let marking = marking_entry.value.clone();
-        if !markings.iter().any(|(l, _)| *l == marking) {
-            return Err(ScenarioError::BadValue {
-                line: marking_entry.line,
-                key: "marking".into(),
-                msg: format!("no [marking \"{marking}\"] section in this scenario"),
-            });
-        }
+        let marking = marking_label(markings, s.require("marking")?)?;
         let packet_marking = s
             .get("packet_marking")
             .map_or_else(|| marking.clone(), |e| e.value.clone());
 
         let flows_entry = s.require("flows")?;
         let flows = parse_list_u32(flows_entry)?;
-        if flows.is_empty() {
-            return Err(ScenarioError::BadValue {
-                line: flows_entry.line,
-                key: "flows".into(),
-                msg: "at least one flow count required".into(),
-            });
-        }
         for &n in &flows {
             if !run.flows.contains(&n) {
-                return Err(ScenarioError::BadValue {
-                    line: flows_entry.line,
-                    key: "flows".into(),
-                    msg: format!("flow count {n} is not in this scenario's sweep"),
-                });
+                return Err(flows_entry
+                    .bad_value(format!("flow count {n} is not in this scenario's sweep")));
             }
         }
 
         let err_entry = s.require("max_rel_err")?;
         let max_rel_err = parse_f64(err_entry)?;
         if !(max_rel_err.is_finite() && max_rel_err > 0.0) {
-            return Err(ScenarioError::OutOfRange {
-                line: err_entry.line,
-                key: "max_rel_err".into(),
-                msg: "max_rel_err must be a positive number".into(),
-            });
+            return Err(err_entry.out_of_range("max_rel_err must be a positive number"));
         }
 
         out.push(XvalSpec {

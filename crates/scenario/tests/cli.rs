@@ -63,6 +63,31 @@ metric = queue_mean
 max = 0.000001
 ";
 
+/// A seeded collective matrix: a kind outside the Fig. 13 testbed
+/// that still sweeps its `[run] seeds` list.
+const SEEDED_SCN: &str = "\
+[scenario]
+name = seeded
+kind = collective
+
+[topology fat_tree]
+k = 4
+hosts_per_edge = 2
+
+[workload collective]
+pattern = incast
+horizon = 200 ms
+
+[run]
+flows = 8
+bytes_per_flow = 32 KB
+seeds = 1, 2
+
+[marking \"dctcp\"]
+scheme = dctcp
+k = 20 pkts
+";
+
 fn unique_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("dctcp-scn-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -426,6 +451,40 @@ fn repro_check_flags_stale_artifacts() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(!out.status.success());
     assert!(stderr.contains("stale"), "{stderr}");
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn repro_reports_the_seed_column_it_expands() {
+    let dir = unique_dir("seeded");
+    std::fs::write(dir.join("seeded.scn"), SEEDED_SCN).unwrap();
+    let out = run_bin(
+        env!("CARGO_BIN_EXE_repro"),
+        &["--no-cache", "--out", "artifacts", "seeded.scn"],
+        &dir,
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "repro failed: {stderr}");
+
+    // `repro: seeded (collective, M markings x F flow counts x S seeds
+    // = P points)`: the printed factors must multiply to the matrix the
+    // runner actually expands.
+    let line = stderr
+        .lines()
+        .find(|l| l.starts_with("repro: seeded ("))
+        .unwrap_or_else(|| panic!("no matrix line in: {stderr}"));
+    let numbers: Vec<usize> = line
+        .split(|c: char| !c.is_ascii_digit())
+        .filter(|t| !t.is_empty())
+        .map(|t| t.parse().unwrap())
+        .collect();
+    let spec = dctcp_scenario::ScenarioSpec::parse(SEEDED_SCN).unwrap();
+    assert_eq!(numbers.len(), 4, "{line}");
+    assert_eq!(numbers[0] * numbers[1] * numbers[2], numbers[3], "{line}");
+    assert_eq!(numbers[3], spec.num_points(), "{line}");
+    let body = std::fs::read_to_string(dir.join("artifacts/seeded.json")).unwrap();
+    assert_eq!(body.matches("\"seed\": ").count(), spec.num_points());
 
     let _ = std::fs::remove_dir_all(&dir);
 }
