@@ -5,8 +5,10 @@
 # Tiers:
 #   ci.sh quick   fmt + clippy + release build + tier-1 tests + fluid
 #                 model tests + scenario crate tests (spec parsing,
-#                 runner, cache keys and the repro CLIs) (the PR gate:
-#                 minutes, catches most breakage)
+#                 runner, cache keys and the repro CLIs) + the Fig. 1
+#                 and Fig. 9 scenarios run cold and checked against
+#                 their envelopes (the PR gate: minutes, catches most
+#                 breakage)
 #   ci.sh full    quick + zero-dependency guard (Cargo.lock must be
 #                 workspace-only) + workspace tests + rustdoc +
 #                 trace-oracle smoke + bench gate + scenario-matrix
@@ -57,6 +59,20 @@ echo "==> cargo test (scenario crate: spec, runner, cell keys, CLIs)"
 # scenario and the supervised runner live here; a refactor that moves a
 # cache key or breaks a kind fails in seconds instead of on main.
 cargo test --offline -q -p dctcp-scenario
+
+echo "==> Fig. 1 / Fig. 9 claims (cold repro -> repro_check)"
+# The paper's opening observation (DCTCP's queue oscillation grows with
+# N) and its stability theorems (DT-DCTCP's loop-gain margin above
+# DCTCP's at every N, limit-cycle onsets at N = 20 and 45) take a few
+# seconds to reproduce, so every PR is gated on them, not only pushes
+# to main.
+FIG_DIR="$(mktemp -d -t figs.XXXXXX)"
+trap 'rm -rf "$FIG_DIR"' EXIT
+cargo run --offline --release -q -p dctcp-scenario --bin repro -- \
+    --out "$FIG_DIR" --no-cache scenarios/fig01_queue_traces.scn scenarios/fig09_nyquist.scn
+cargo run --offline --release -q -p dctcp-scenario --bin repro_check -- \
+    --artifacts "$FIG_DIR" scenarios/fig01_queue_traces.scn scenarios/fig09_nyquist.scn
+rm -rf "$FIG_DIR"
 
 if [ "$TIER" = "quick" ]; then
     echo "CI quick gate passed."

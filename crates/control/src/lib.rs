@@ -18,7 +18,9 @@
 //!   and (27), plus [`numerical_df`] to cross-check them by direct
 //!   Fourier integration of the marking waveform.
 //! * [`analyze`] / [`oscillation_onset`] — the Nyquist intersection
-//!   machinery behind Theorems 1 and 2 and Figure 9.
+//!   machinery behind Theorems 1 and 2 and Figure 9, with
+//!   [`FIG9_CALIBRATED_GAIN`] the one loop-gain calibration Figure 9's
+//!   onsets need.
 //!
 //! # Examples
 //!
@@ -51,6 +53,6 @@ pub use df::{
 };
 pub use nyquist::{
     analyze, critical_gain, df_locus, intersections, oscillation_onset, plant_locus, AnalysisGrid,
-    Intersection, Locus, LocusPoint, StabilityReport,
+    Intersection, Locus, LocusPoint, StabilityReport, FIG9_CALIBRATED_GAIN,
 };
 pub use plant::PlantParams;

@@ -16,8 +16,9 @@ pub const MAX_FLUID_FLOWS: u32 = 1_000_000;
 
 /// The continuous-domain analogue of a marking scheme: a
 /// packet-denominated DCTCP relay or DT-DCTCP hysteresis, the laws
-/// [`FluidMarking`] models. Anything else has none.
-fn fluid_marking(scheme: &MarkingScheme) -> Option<FluidMarking> {
+/// [`FluidMarking`] models (and the stability kind's describing
+/// functions analyse). Anything else has none.
+pub(super) fn fluid_marking(scheme: &MarkingScheme) -> Option<FluidMarking> {
     match *scheme {
         MarkingScheme::Dctcp {
             k: QueueLevel::Packets(k),
@@ -33,8 +34,20 @@ fn fluid_marking(scheme: &MarkingScheme) -> Option<FluidMarking> {
     }
 }
 
-const UNSUPPORTED_MARKING: &str = "fluid scenarios support only dctcp / dt-dctcp markings \
-                                   with packet-denominated thresholds";
+pub(super) const UNSUPPORTED_MARKING: &str =
+    "fluid and stability scenarios support only dctcp / dt-dctcp markings \
+     with packet-denominated thresholds";
+
+/// The DCTCP EWMA gain `g` of the `[transport]` config: the continuous
+/// models (fluid and stability) describe DCTCP dynamics only.
+pub(super) fn dctcp_gain(spec: &ScenarioSpec) -> Result<f64, SimError> {
+    match spec.tcp.cc {
+        CongestionControl::Dctcp { g } | CongestionControl::D2tcp { g, .. } => Ok(g),
+        _ => Err(SimError::InvalidConfig(
+            "fluid and stability cells model DCTCP dynamics and need a dctcp [tcp] config".into(),
+        )),
+    }
+}
 
 pub(super) struct Fluid;
 
@@ -136,14 +149,7 @@ impl Kind for Fluid {
         // callers.
         let marking = fluid_marking(&cell.scheme)
             .ok_or_else(|| SimError::InvalidConfig(UNSUPPORTED_MARKING.into()))?;
-        let g = match spec.tcp.cc {
-            CongestionControl::Dctcp { g } | CongestionControl::D2tcp { g, .. } => g,
-            _ => {
-                return Err(SimError::InvalidConfig(
-                    "fluid cells model DCTCP dynamics and need a dctcp [tcp] config".into(),
-                ))
-            }
-        };
+        let g = dctcp_gain(spec)?;
         let params = FluidParams {
             // Packet-denominated capacity at the paper's 1500 B MTU, the
             // same conversion `PlantParams::from_link` uses.

@@ -19,6 +19,7 @@ mod fct;
 mod fluid;
 mod long_lived;
 mod query;
+mod stability;
 
 pub use collective::{CollectiveWorkloadSpec, FatTreeSpec};
 pub use fct::FctWorkloadSpec;
@@ -63,11 +64,16 @@ pub enum ScenarioKind {
     /// The `flows` sweep is the churn-source count, split evenly over
     /// the workload's racks.
     Fct,
+    /// Describing-function / Nyquist analysis of the dumbbell's
+    /// linearised DCTCP loop (Theorems 1–2, Fig. 9): loop-gain margin
+    /// and predicted limit cycle per flow count. No packets and no time
+    /// axis, so seed-free and capped at [`MAX_FLUID_FLOWS`].
+    Stability,
 }
 
 /// Every kind and its implementation, in declaration order (so a kind
 /// indexes its own row).
-static KINDS: [(ScenarioKind, &dyn Kind); 6] = [
+static KINDS: [(ScenarioKind, &dyn Kind); 7] = [
     (ScenarioKind::LongLived, &long_lived::LongLived),
     (ScenarioKind::Incast, &query::INCAST),
     (
@@ -77,6 +83,7 @@ static KINDS: [(ScenarioKind, &dyn Kind); 6] = [
     (ScenarioKind::Collective, &collective::Collective),
     (ScenarioKind::Fluid, &fluid::Fluid),
     (ScenarioKind::Fct, &fct::Fct),
+    (ScenarioKind::Stability, &stability::Stability),
 ];
 
 impl ScenarioKind {
@@ -316,7 +323,7 @@ mod tests {
         assert_eq!(ScenarioKind::from_name("nosuch"), None);
         assert_eq!(
             ScenarioKind::spellings(),
-            "long_lived/incast/partition_aggregate/collective/fluid/fct"
+            "long_lived/incast/partition_aggregate/collective/fluid/fct/stability"
         );
     }
 }

@@ -404,7 +404,7 @@ fn run_attempt(
 /// it is presentation (the artifact's `marking` column comes from the
 /// scenario file at render time), so renaming a label reuses cached
 /// results while touching any semantic knob moves the key.
-fn cell_key(spec: &ScenarioSpec, cell: &Cell, fingerprint: &str) -> CacheKey {
+pub(crate) fn cell_key(spec: &ScenarioSpec, cell: &Cell, fingerprint: &str) -> CacheKey {
     let mut kb = KeyBuilder::new();
     kb.field("schema", ARTIFACT_SCHEMA)
         .field("code", fingerprint)

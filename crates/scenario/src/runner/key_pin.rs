@@ -19,12 +19,15 @@ const PINNED: &[(&str, usize, &str)] = &[
     ("fattree_incast", 4, "a00658e653452f2f577c5e825136bd51"),
     ("fault_recovery", 2, "f98dae8aac48240ce3f5734828124154"),
     ("fct_churn", 2, "19180a389d84b0829ab00fee53ab1307"),
+    ("fig01_queue_traces", 4, "b66e93962a06bd2ae8748fd11e3b7102"),
     ("fig05_oscillation", 4, "dfdc6949487cff1725394b5ad7f83d0a"),
+    ("fig09_nyquist", 58, "c1ee7de364cd9187ca13058d719319b2"),
     ("fig10_12_flow_sweep", 8, "7906b213a85ba3bd9c50a5fe8801a6ba"),
     ("fig13_incast", 12, "012a70d7d4cd2f6ac087bdc81df38892"),
     ("fig13_query", 8, "f0c288c6c9263f81a9f21bdb68161a2c"),
     ("fluid_scaleout", 6, "1b3f6ccc712caff353295c1c6fa3a618"),
     ("fluid_xval", 16, "60543c780e93ac927c5601e72e10645e"),
+    ("hysteresis_ablation", 7, "c429a8e31c82e3e85e0d39a7a5282604"),
     ("linux_dctcp_flaws", 6, "c606a7796dc5ef5a3db8102ebd68dfa4"),
     ("threshold_settings", 3, "0a4c65a1804ed2f9cc9fd7a644016238"),
 ];

@@ -1,6 +1,6 @@
 //! Experiment harness reproducing the paper's evaluation (Section VI).
 //!
-//! Two scenario families drive everything:
+//! Three scenario families drive everything:
 //!
 //! * [`LongLivedScenario`] — N long-lived flows over one 10 Gb/s
 //!   bottleneck (Figs. 1, 10, 11, 12).
@@ -10,13 +10,10 @@
 //!   arrivals at a configured load with empirical sizes ([`sizes`]),
 //!   reporting per-size-class FCT tails from mergeable sketches.
 //!
-//! Figs. 10–12, 14 and 15 are reproduced through the `dctcp-scenario`
-//! matrix (`long_lived`, `incast` and `partition_aggregate` kinds). The
-//! [`experiments`] module keeps the drivers for the two figures no
-//! scenario kind produces — Fig. 1's queue traces and Fig. 9's
-//! describing-function sweep — each returning a result with a [`Table`]
-//! rendering; the `fig01`/`fig09` binaries in `dctcp-bench` are thin
-//! wrappers around them.
+//! Every paper figure is reproduced through the `dctcp-scenario`
+//! matrix, which drives these scenarios cell by cell (and Fig. 9's
+//! describing-function sweep through the re-exported [`control`]
+//! crate); this crate holds no figure-specific driver.
 //!
 //! # Examples
 //!
@@ -42,11 +39,9 @@
 mod buildup;
 mod collective;
 mod convergence;
-pub mod experiments;
 mod fct;
 pub mod sizes;
 mod star;
-mod table;
 mod testbed;
 
 pub use buildup::{run_buildup, run_buildup_traced, BuildupConfig, BuildupReport};
@@ -54,17 +49,15 @@ pub use collective::{
     run_collective, CollectiveConfig, CollectivePattern, CollectiveReport, Transfer,
 };
 pub use convergence::{run_convergence, ConvergenceConfig, ConvergenceReport};
-pub use experiments::Scale;
 pub use fct::{FctInstance, FctReport, FctScenario, FctScenarioBuilder};
 pub use star::{LongLivedInstance, LongLivedReport, LongLivedScenario, LongLivedScenarioBuilder};
-pub use table::Table;
 pub use testbed::{
     build_testbed, run_query_rounds, run_query_rounds_supervised, run_query_rounds_with_threads,
     QueryMode, QueryReport, QueryRound, QueryWorkload, Testbed, TestbedConfig, TESTBED_WORKERS,
 };
 
-// Re-export the workspace crates the drivers build on, so example and
-// bench code can depend on `dctcp-workloads` alone.
+// Re-export the workspace crates the drivers build on, so example,
+// bench and scenario code can depend on `dctcp-workloads` alone.
 pub use dctcp_control as control;
 pub use dctcp_core as core;
 pub use dctcp_fluid as fluid;

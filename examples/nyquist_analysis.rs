@@ -6,7 +6,9 @@
 //! cargo run --release --example nyquist_analysis
 //! ```
 
-use dt_dctcp::control::{analyze, critical_gain, AnalysisGrid, HysteresisDf, PlantParams, RelayDf};
+use dt_dctcp::control::{
+    analyze, critical_gain, AnalysisGrid, HysteresisDf, PlantParams, RelayDf, FIG9_CALIBRATED_GAIN,
+};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let grid = AnalysisGrid::default();
@@ -22,13 +24,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("{n:>4} | {m_dc:>12.2} | {m_dt:>12.2}");
     }
 
-    // At a calibrated loop gain, find the predicted limit cycle.
-    let plant = PlantParams::paper_defaults(60.0).with_gain(6.5);
+    // At the calibrated loop gain, find the predicted limit cycle.
+    let plant = PlantParams::paper_defaults(60.0).with_gain(FIG9_CALIBRATED_GAIN);
     let report = analyze(&plant, &relay, &grid);
     if let Some(lc) = report.limit_cycle {
         println!(
-            "\nAt N = 60 with calibrated gain 6.5, DCTCP's predicted limit cycle:\n  \
-             amplitude {:.1} pkts, frequency {:.0} rad/s ({:.1} kHz)",
+            "\nAt N = 60 with calibrated gain {FIG9_CALIBRATED_GAIN}, DCTCP's predicted limit \
+             cycle:\n  amplitude {:.1} pkts, frequency {:.0} rad/s ({:.1} kHz)",
             lc.amplitude,
             lc.frequency,
             lc.frequency / (2.0 * std::f64::consts::PI) / 1e3

@@ -6,7 +6,6 @@ use std::sync::OnceLock;
 use dctcp_scenario::{run_scenario, Artifact, Point, ScenarioSpec};
 use dt_dctcp::control::{critical_gain, AnalysisGrid, HysteresisDf, PlantParams, RelayDf};
 use dt_dctcp::core::MarkingScheme;
-use dt_dctcp::workloads::experiments::{fig1, fig9, Scale};
 use dt_dctcp::workloads::{run_query_rounds, QueryWorkload, TestbedConfig};
 
 /// The quick-scale Figs. 10–12 flow sweep: K = 40 vs (K1, K2) =
@@ -77,14 +76,13 @@ fn sweep_covers_both_schemes_and_all_n() {
     }
 }
 
-/// Section III observation: DCTCP's queue oscillation grows with the
-/// number of flows.
+/// Section III observation (Fig. 1): DCTCP's queue oscillation grows
+/// with the number of flows.
 #[test]
 fn oscillation_grows_with_flows() {
-    let r = fig1(Scale::Quick);
-    let dc = MarkingScheme::dctcp_packets(40);
-    let at10 = r.trace(dc, 10).expect("N=10 trace").std;
-    let at100 = r.trace(dc, 100).expect("N=100 trace").std;
+    let dc = scheme_points(quick_sweep(), "dctcp");
+    let at10 = metric(dc.first().unwrap(), "queue_std");
+    let at100 = metric(dc.last().unwrap(), "queue_std");
     assert!(
         at100 > 1.5 * at10,
         "queue std must grow with N: {at10:.2} -> {at100:.2}"
@@ -169,12 +167,43 @@ fn df_analysis_favors_dt_at_every_n() {
     }
 }
 
-/// Fig. 9's onset ordering at the calibrated gain.
+/// Fig. 9's onset ordering at the calibrated gain: the first flow count
+/// at which each scheme's loci intersect, read off a `stability`
+/// artifact over a sparse N grid at the paper's operating point.
 #[test]
 fn nyquist_onset_ordering() {
-    let r = fig9(Scale::Quick);
-    let dc = r.onset_dctcp.expect("DCTCP onset");
-    let dt = r.onset_dt.expect("DT onset");
+    const NYQUIST: &str = "\
+[scenario]
+name = quick_nyquist
+kind = stability
+
+[topology]
+bottleneck = 10 Gbps
+rtt = 100 us
+
+[run]
+flows = 10, 30, 50, 60, 70, 90, 110
+
+[marking \"dctcp\"]
+scheme = dctcp
+k = 40 pkts
+
+[marking \"dt-dctcp\"]
+scheme = dt-dctcp
+k1 = 30 pkts
+k2 = 50 pkts
+";
+    let spec = ScenarioSpec::parse(NYQUIST).expect("valid stability spec");
+    let artifact =
+        run_scenario(&spec, dt_dctcp::parallel::available_threads()).expect("analysis runs");
+    let onset = |marking: &str| {
+        scheme_points(&artifact, marking)
+            .into_iter()
+            .find(|p| metric(p, "oscillates") == 1.0)
+            .map(|p| p.flows)
+    };
+    let dc = onset("dctcp").expect("DCTCP onset");
+    let dt = onset("dt-dctcp").expect("DT onset");
     assert!(dt > dc, "onsets: dc {dc}, dt {dt}");
 }
 
