@@ -5,17 +5,19 @@
 # Tiers:
 #   ci.sh quick   fmt + clippy + release build + tier-1 tests + fluid
 #                 model tests + scenario crate tests (spec parsing,
-#                 runner, cache keys and the repro CLIs) + the Fig. 1
-#                 and Fig. 9 scenarios run cold and checked against
-#                 their envelopes (the PR gate: minutes, catches most
-#                 breakage)
+#                 runner, cache keys and the repro CLIs) + bench_check's
+#                 verdict tests (its gate table, string-only) + the
+#                 Fig. 1 and Fig. 9 scenarios run cold and checked
+#                 against their envelopes (the PR gate: minutes,
+#                 catches most breakage)
 #   ci.sh full    quick + zero-dependency guard (Cargo.lock must be
 #                 workspace-only) + workspace tests + rustdoc +
 #                 trace-oracle smoke + bench gate + scenario-matrix
-#                 gate (run cold, then warm from the result cache with
-#                 byte-identity asserted between the two) + fluid-xval
-#                 gate (DDE model vs packet anchors within committed
-#                 relative-error bands) + supervision gate (quarantine
+#                 gate (run cold, checked against every envelope and
+#                 every fluid-xval band - DDE model vs packet anchors
+#                 within committed relative-error bands - then warm from
+#                 the result cache with byte-identity asserted between
+#                 the two) + supervision gate (quarantine
 #                 exit codes, kill -9 mid-matrix resume) + shard-parity
 #                 gate (serial vs sharded engine must render
 #                 byte-identical artifacts) + fct-parity gate (the
@@ -59,6 +61,12 @@ echo "==> cargo test (scenario crate: spec, runner, cell keys, CLIs)"
 # scenario and the supervised runner live here; a refactor that moves a
 # cache key or breaks a kind fails in seconds instead of on main.
 cargo test --offline -q -p dctcp-scenario
+
+echo "==> cargo test (bench_check verdict tests)"
+# The bench gate's rule table (floors, ceilings, bands and the
+# conditions they apply under) is checked against hand-written report
+# strings: no timing runs, so it is cheap enough to gate every PR.
+cargo test --offline -q -p dctcp-bench --bin bench_check
 
 echo "==> Fig. 1 / Fig. 9 claims (cold repro -> repro_check)"
 # The paper's opening observation (DCTCP's queue oscillation grows with
@@ -125,8 +133,15 @@ cargo run --offline --release -q -p dctcp-bench --bin bench_check "$BENCH_SCRATC
 echo "==> scenario-matrix gate (cold repro -> repro_check -> warm repro)"
 # Runs every committed scenario through the simulator and validates the
 # resulting artifacts against the regression envelopes encoded in the
-# scenario files themselves. Deterministic: artifacts are bit-identical
-# across runs and thread counts.
+# scenario files themselves, and the fluid-model artifacts against
+# their packet anchors: each committed [xval] band must hold within its
+# relative-error budget, which is what licenses the fluid_scaleout
+# extrapolation to N = 10^4..10^6. Deterministic: artifacts are
+# bit-identical across runs and thread counts. repro_check's report
+# (one line per envelope failure and per xval band) lands in
+# artifacts/check_report.txt for CI to upload on failure. Any nonzero
+# exit fails the gate - on committed scenarios even "skipped because a
+# cell is quarantined" (exit 3) means something upstream already broke.
 #
 # The gate runs twice. The cold pass starts from an empty result cache
 # and simulates every cell; the warm pass must then be served entirely
@@ -137,8 +152,17 @@ echo "==> scenario-matrix gate (cold repro -> repro_check -> warm repro)"
 rm -rf artifacts/cache artifacts/repro
 cargo run --offline --release -q -p dctcp-scenario --bin repro -- \
     --out artifacts/repro --cache artifacts/cache --all scenarios/
+# POSIX sh has no pipefail, so the report goes to a file (not `| tee`)
+# and the exit status is kept by hand.
+MATRIX_CHECK_CODE=0
 cargo run --offline --release -q -p dctcp-scenario --bin repro_check -- \
-    --artifacts artifacts/repro --all scenarios/
+    --artifacts artifacts/repro --all scenarios/ 2> artifacts/check_report.txt ||
+    MATRIX_CHECK_CODE=$?
+cat artifacts/check_report.txt >&2
+if [ "$MATRIX_CHECK_CODE" -ne 0 ]; then
+    echo "ci.sh: repro_check failed with exit $MATRIX_CHECK_CODE (artifacts/check_report.txt)" >&2
+    exit 1
+fi
 REPRO_COLD="$(mktemp -d -t repro_cold.XXXXXX)"
 trap 'rm -f "$BENCH_SCRATCH"; rm -rf "$REPRO_COLD"' EXIT
 cp artifacts/repro/*.json "$REPRO_COLD"/
@@ -159,20 +183,6 @@ case "$WARM_SUMMARY" in
         ;;
 esac
 diff -r "$REPRO_COLD" artifacts/repro
-
-echo "==> fluid-xval gate (DDE model vs packet anchors)"
-# Cross-validates the fluid-model artifacts the scenario gate just
-# produced against the packet anchors at shared operating points: each
-# committed [xval] band must hold within its relative-error budget.
-# Passing this is what licenses the fluid_scaleout extrapolation to
-# N = 10^4..10^6. The plain-text comparison report lands in
-# artifacts/fluid_xval_report.txt for CI to upload on failure. Any
-# nonzero exit fails the gate — on committed scenarios even "skipped
-# because an anchor cell is quarantined" (exit 3) means something
-# upstream already broke.
-cargo run --offline --release -q -p dctcp-scenario --bin fluid_check -- \
-    --artifacts artifacts/repro --report artifacts/fluid_xval_report.txt \
-    --all scenarios/
 
 echo "==> supervision gate (quarantine exit codes + kill -9 resume)"
 # Two smokes over the supervised executor. First: a matrix with one

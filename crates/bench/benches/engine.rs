@@ -291,47 +291,38 @@ fn sweep_job(seed: usize) -> (u64, u64) {
 /// Times the multi-seed sweep serially and through `dctcp_parallel`,
 /// checks bit-identity, and records cores/threads/speedup metrics.
 ///
-/// The speedup is only *measured* when the machine has at least two
-/// cores: dispatching two workers onto one core is oversubscription,
-/// and the "speedup" it times (0.78x on a 1-core CI container, once)
-/// says nothing about the sweep driver. On single-core machines the
-/// parallel dispatch path is still exercised for bit-identity, but the
-/// threads/speedup metrics are left out of the report entirely —
-/// `bench_check` skips its speedup floor when the metric is absent.
+/// The speedup is only *recorded* with at least two cores (the
+/// hardware's count, which `DCTCP_JOBS` cannot change) and two workers:
+/// two workers on one core is oversubscription, whose "speedup" (0.78x
+/// on a 1-core CI container, once) says nothing about the sweep driver,
+/// and without the metric `bench_check` skips its speedup floor.
 fn measure_parallel_sweep(r: &mut Runner) {
     const SEEDS: usize = 8;
-    let cores = dctcp_parallel::available_threads();
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let threads = dctcp_parallel::available_threads();
     let jobs: Vec<usize> = (0..SEEDS).collect();
-
     r.metric("sweep/multi_seed/seeds", SEEDS as f64, "runs");
     r.metric("sweep/multi_seed/cores", cores as f64, "cores");
-    if cores < 2 {
-        let serial = dctcp_parallel::par_map(jobs.clone(), 1, |_, seed| sweep_job(seed));
-        let parallel = dctcp_parallel::par_map(jobs, 2, |_, seed| sweep_job(seed));
-        assert_eq!(
-            serial, parallel,
-            "parallel sweep must be bit-identical to serial"
-        );
-        eprintln!(
-            "sweep/multi_seed/speedup not measured: {cores} core(s) cannot \
-             time parallel scaling (bit-identity still verified)"
-        );
-        return;
-    }
-    let threads = cores;
 
     let start = Instant::now();
     let serial = dctcp_parallel::par_map(jobs.clone(), 1, |_, seed| sweep_job(seed));
     let serial_elapsed = start.elapsed();
 
     let start = Instant::now();
-    let parallel = dctcp_parallel::par_map(jobs, threads, |_, seed| sweep_job(seed));
+    let parallel = dctcp_parallel::par_map(jobs, threads.max(2), |_, seed| sweep_job(seed));
     let parallel_elapsed = start.elapsed();
 
     assert_eq!(
         serial, parallel,
         "parallel sweep must be bit-identical to serial"
     );
+    if cores < 2 || threads < 2 {
+        eprintln!(
+            "sweep/multi_seed/speedup not recorded: {threads} worker(s) on {cores} \
+             core(s) cannot time parallel scaling (bit-identity still verified)"
+        );
+        return;
+    }
     let speedup = serial_elapsed.as_secs_f64() / parallel_elapsed.as_secs_f64().max(1e-9);
     r.metric("sweep/multi_seed/threads", threads as f64, "threads");
     r.metric("sweep/multi_seed/speedup", speedup, "x");
@@ -390,11 +381,9 @@ fn measure_sharded(r: &mut Runner) {
         "sharded run must be bit-identical to serial"
     );
     r.metric("engine/sharded/shards", shards as f64, "shards");
-    r.metric(
-        "engine/sharded/cores",
-        dctcp_parallel::available_threads() as f64,
-        "cores",
-    );
+    // The hardware's count: `DCTCP_JOBS` must not (dis)arm the floor.
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    r.metric("engine/sharded/cores", cores as f64, "cores");
     r.metric(
         "engine/sharded/speedup_4shards",
         serial / sharded.max(1e-9),

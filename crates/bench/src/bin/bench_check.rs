@@ -1,36 +1,18 @@
 //! Validates a `BENCH_sim.json` report produced by the bench harness
-//! (`--json <path>`): checks the schema tag, that every benchmark has a
-//! positive ns/iter and iteration count, that at least one bench
-//! reports a positive events/sec rate, and that the result-cache
-//! metrics (when present) show a hit-only warm rerun that actually beat
-//! the cold run. Exits non-zero with a message on any violation, so
-//! `ci.sh` can gate on it. Non-fatal oddities — e.g. a parallel sweep
-//! measured with a single thread, whose speedup says nothing — are
-//! warnings on stderr.
+//! (`--json <path>`): checks the schema tag, the timing protocol, that
+//! every benchmark has a positive ns/iter and iteration count and that
+//! at least one bench reports a positive events/sec rate, then runs the
+//! [`GATES`] table — one row per gated value, each a floor, ceiling or
+//! band plus the conditions under which it applies. Exits non-zero with
+//! a message on any violation, so `ci.sh` can gate on it. Non-fatal
+//! oddities — e.g. a parallel sweep measured with a single thread,
+//! whose speedup says nothing — are warnings on stderr.
 //!
 //! Usage: `bench_check [path]` (default `BENCH_sim.json`).
 
 use std::process::ExitCode;
 
-/// Pulls every numeric value following `"key": ` out of the report.
-/// The harness writes one flat object per line, so a field scanner is
-/// enough — this is a smoke check for our own writer, not a JSON parser.
-fn field_values(body: &str, key: &str) -> Vec<Option<f64>> {
-    let needle = format!("\"{key}\": ");
-    let mut out = Vec::new();
-    let mut rest = body;
-    while let Some(pos) = rest.find(&needle) {
-        rest = &rest[pos + needle.len()..];
-        let end = rest.find([',', '}', '\n']).unwrap_or(rest.len());
-        let raw = rest[..end].trim();
-        if raw == "null" {
-            out.push(None);
-        } else {
-            out.push(raw.parse::<f64>().ok());
-        }
-    }
-    out
-}
+use Bound::{Above, Band, Ceiling, Floor};
 
 /// Ceiling on the committed overhead ratios: the forwarding hot path
 /// with tracing compiled in but disabled (`trace_overhead`), and the
@@ -99,21 +81,313 @@ const ALLOCS_PER_FLOW_LIMIT: f64 = 2.0;
 /// driver is losing to its own dispatch overhead.
 const SWEEP_SPEEDUP_FLOOR: f64 = 1.2;
 
-/// Extracts a named metric's value from the report, if present.
-fn metric_value(body: &str, name: &str) -> Option<f64> {
-    let needle = format!("\"name\": \"{name}\", \"value\": ");
-    let rest = &body[body.find(&needle)? + needle.len()..];
-    rest[..rest.find([',', '}'])?].trim().parse().ok()
+/// One bench record of the report.
+struct Bench<'a> {
+    name: &'a str,
+    ns_per_iter: Option<f64>,
+    iters: Option<f64>,
+    events_per_sec: Option<f64>,
 }
 
-/// Extracts a named bench record's events/sec, if the bench is present
-/// and reported a rate.
-fn bench_events_per_sec(body: &str, name: &str) -> Option<f64> {
-    let needle = format!("\"name\": \"{name}\", ");
-    let rest = &body[body.find(&needle)? + needle.len()..];
-    let rate = "\"events_per_sec\": ";
-    let rest = &rest[rest.find(rate)? + rate.len()..];
-    rest[..rest.find([',', '}', '\n'])?].trim().parse().ok()
+/// The report, parsed once. The harness writes flat `{...}` objects
+/// (the protocol, one per bench, one per metric), so splitting on
+/// braces and scanning `"key": value` pairs is enough — this checks our
+/// own writer, it is not a JSON parser.
+#[derive(Default)]
+struct Report<'a> {
+    schema: Option<&'a str>,
+    timing: Option<&'a str>,
+    batches: Option<f64>,
+    benches: Vec<Bench<'a>>,
+    metrics: Vec<(&'a str, f64)>,
+}
+
+/// The text after the first `"key": `, unquoted.
+fn field<'a>(obj: &'a str, key: &str) -> Option<&'a str> {
+    let needle = format!("\"{key}\": ");
+    let rest = &obj[obj.find(&needle)? + needle.len()..];
+    let end = rest.find([',', '}', '\n']).unwrap_or(rest.len());
+    Some(rest[..end].trim().trim_matches('"'))
+}
+
+/// A numeric field: `None` when absent or `null`, NaN when unparsable
+/// (so a garbled gated value is rejected, never skipped).
+fn number(obj: &str, key: &str) -> Option<f64> {
+    let raw = field(obj, key).filter(|raw| *raw != "null")?;
+    Some(raw.parse().unwrap_or(f64::NAN))
+}
+
+impl<'a> Report<'a> {
+    fn parse(body: &'a str) -> Self {
+        let mut r = Report::default();
+        for obj in body.split('{') {
+            r.schema = r.schema.or(field(obj, "schema"));
+            r.timing = r.timing.or(field(obj, "timing"));
+            r.batches = r.batches.or(number(obj, "batches"));
+            let name = field(obj, "name").unwrap_or("");
+            if field(obj, "ns_per_iter").is_some() {
+                r.benches.push(Bench {
+                    name,
+                    ns_per_iter: number(obj, "ns_per_iter"),
+                    iters: number(obj, "iters"),
+                    events_per_sec: number(obj, "events_per_sec"),
+                });
+            } else if let Some(value) = number(obj, "value") {
+                r.metrics.push((name, value));
+            }
+        }
+        r
+    }
+
+    fn metric(&self, name: &str) -> Option<f64> {
+        self.metrics.iter().find(|m| m.0 == name).map(|m| m.1)
+    }
+
+    /// The named metric, or else the named bench's events/sec.
+    fn value(&self, name: &str) -> Option<f64> {
+        let bench = || self.benches.iter().find(|b| b.name == name)?.events_per_sec;
+        self.metric(name).or_else(bench)
+    }
+}
+
+/// Where a value must sit; edges pass. A ceiling bounds a cost, so it
+/// admits zero; the others bound a rate or ratio, which must be
+/// positive. Either way NaN and ±∞ are malformed, whatever the bound.
+#[derive(Clone, Copy)]
+enum Bound {
+    Floor(f64),
+    /// Strictly above.
+    Above(f64),
+    Ceiling(f64),
+    /// Floor and ceiling.
+    Band(f64, f64),
+}
+
+impl Bound {
+    /// How `v` breaks the bound, if it does; `x` follows each edge.
+    fn breach(self, v: f64, x: &str) -> Option<String> {
+        Some(match self {
+            Floor(lo) | Band(lo, _) if v < lo => format!("is below the {lo}{x} floor"),
+            Ceiling(hi) | Band(_, hi) if v > hi => format!("exceeds the {hi}{x} ceiling"),
+            Above(lo) if v <= lo => format!("is not above {lo}{x}"),
+            _ => return None,
+        })
+    }
+}
+
+/// One row of [`GATES`].
+struct Gate {
+    /// A metric, or a bench whose events/sec is gated.
+    source: &'static str,
+    bound: Bound,
+    /// Unit and decimals of the value in messages (a ratio's `x` also
+    /// follows the bound), and the noun a malformed value is not.
+    shown: (&'static str, usize, &'static str),
+    /// Why a value outside the bound is wrong.
+    reason: &'static str,
+    /// A value outside the bound warns instead of failing.
+    warn_only: bool,
+    /// When several rows fail, the lowest is reported (ties in table
+    /// order): single-thread floors before the noisier parallel
+    /// speedups, and those before the cache trio.
+    precedence: u8,
+    /// Summary fragment for a passing value.
+    note: fn(f64, &Report) -> String,
+    /// Companions that must be present, finite and at least a minimum.
+    needs: &'static [(&'static str, f64, &'static str)],
+    /// Below this many cores (a companion) the floor only warns.
+    cores: Option<(&'static str, f64)>,
+    /// Metrics that appear all together or not at all.
+    group: &'static [&'static str],
+}
+
+/// The defaults every row of [`GATES`] starts from.
+const GATE: Gate = Gate {
+    source: "",
+    bound: Floor(f64::NEG_INFINITY),
+    shown: ("x", 4, "ratio"),
+    reason: "",
+    warn_only: false,
+    precedence: 0,
+    note: |_, _| String::new(),
+    needs: &[],
+    cores: None,
+    group: &[],
+};
+
+/// The overhead rows' summary fragment.
+fn band_note(short: &str, ratio: f64) -> String {
+    format!(", {short} {ratio:.3}x (band [{TRACE_OVERHEAD_FLOOR}, {TRACE_OVERHEAD_LIMIT}])")
+}
+
+/// Every gated value, in summary order. An absent value skips its row;
+/// a present one must be well-formed, have its companions and hold its
+/// bound. (The benches assert their own bit-identity, so a rate only
+/// has to clear a pathology floor.)
+static GATES: [Gate; 11] = [
+    Gate {
+        source: "engine/forward/trace_overhead",
+        bound: Band(TRACE_OVERHEAD_FLOOR, TRACE_OVERHEAD_LIMIT),
+        reason: "disabled tracing may cost engine/forward 2%; under the noise floor, re-baseline",
+        note: |r, _| band_note("trace_overhead", r),
+        ..GATE
+    },
+    Gate {
+        source: "scenario/warm/supervision_overhead",
+        bound: Band(TRACE_OVERHEAD_FLOOR, TRACE_OVERHEAD_LIMIT),
+        reason: "supervised-executor overhead is capped at 2%; under the noise floor, re-baseline",
+        note: |r, _| band_note("supervision_overhead", r),
+        ..GATE
+    },
+    Gate {
+        source: "engine/forward/allocs_per_event",
+        bound: Ceiling(ALLOCS_PER_EVENT_LIMIT),
+        shown: ("", 4, "ratio"),
+        reason: "the forwarding hot path is allocating again",
+        note: |a, _| format!(", {a:.4} allocs/event"),
+        ..GATE
+    },
+    // No summary fragment; its warning precedes the shard row's.
+    Gate {
+        source: "sweep/multi_seed/threads",
+        bound: Floor(2.0),
+        shown: ("", 0, "thread count"),
+        reason: "a speedup measured with 1 thread is not a parallelism measurement",
+        warn_only: true,
+        ..GATE
+    },
+    Gate {
+        source: "engine/sharded/speedup_4shards",
+        bound: Floor(SHARD_SPEEDUP_FLOOR),
+        shown: ("x", 2, "ratio"),
+        reason: "four shards no longer pay for their window barriers",
+        note: |s, _| format!(", 4-shard speedup {s:.2}x"),
+        needs: &[(
+            "engine/sharded/shards",
+            2.0,
+            " >= 2 (it fell back to the serial engine)",
+        )],
+        cores: Some(("engine/sharded/cores", 4.0)),
+        precedence: 2,
+        ..GATE
+    },
+    Gate {
+        source: "sweep/multi_seed/speedup",
+        bound: Floor(SWEEP_SPEEDUP_FLOOR),
+        shown: ("x", 2, "ratio"),
+        reason: "the parallel sweep driver is losing to its own dispatch overhead",
+        note: |s, _| format!(", multi-seed sweep {s:.2}x"),
+        needs: &[(
+            "sweep/multi_seed/cores",
+            2.0,
+            " >= 2 (one core times oversubscription, not scaling — re-baseline on a \
+             multi-core machine; the harness records no speedup there)",
+        )],
+        precedence: 1,
+        ..GATE
+    },
+    Gate {
+        source: "engine/fattree/k4_allreduce_16kb",
+        bound: Floor(FATTREE_EVENTS_FLOOR),
+        shown: (" events/sec", 0, "rate"),
+        reason: "the fabric hot path regressed far beyond machine noise",
+        note: |r, _| format!(", fat-tree {:.1}M events/sec", r / 1e6),
+        ..GATE
+    },
+    Gate {
+        source: "fluid/sweep_1e6",
+        bound: Floor(FLUID_SWEEP_FLOOR),
+        shown: (" points/sec", 0, "rate"),
+        reason: "the DDE integrator hot path regressed far beyond machine noise",
+        note: |r, _| format!(", fluid sweep {r:.0} points/sec"),
+        ..GATE
+    },
+    Gate {
+        source: "engine/churn/flows_per_sec",
+        bound: Floor(CHURN_FLOWS_FLOOR),
+        shown: ("", 0, "rate"),
+        reason: "per-flow open/close stopped recycling state",
+        note: |r, _| format!(", churn {:.0}k flows/sec", r / 1e3),
+        ..GATE
+    },
+    Gate {
+        source: "engine/churn/allocs_per_flow",
+        bound: Ceiling(ALLOCS_PER_FLOW_LIMIT),
+        shown: ("", 3, "ratio"),
+        reason: "the flow open/close path is allocating per flow again",
+        note: |a, _| format!(", {a:.3} allocs/flow"),
+        ..GATE
+    },
+    // Part of the trio means a mismatched harness.
+    Gate {
+        source: "cache/warm_rerun_speedup",
+        bound: Above(1.0),
+        reason: "a warm hit-only rerun must beat the cold run that populated the cache",
+        note: |s, r| {
+            let hits = r.metric("cache/hits").unwrap_or(0.0);
+            format!(", warm cache rerun {s:.1}x over {hits:.0} cells")
+        },
+        needs: &[
+            ("cache/hits", 1.0, " >= 1 (the warm rerun must hit)"),
+            ("cache/misses", 1.0, " >= 1 (the cold run must miss)"),
+        ],
+        group: &["cache/hits", "cache/misses", "cache/warm_rerun_speedup"],
+        precedence: 3,
+        ..GATE
+    },
+];
+
+impl Gate {
+    /// Evaluates the row: appends its summary fragment and any warning,
+    /// or returns why the report fails it.
+    fn apply(&self, r: &Report, out: &mut Verdict) -> Result<(), String> {
+        let present = self.group.iter().filter(|m| r.metric(m).is_some()).count();
+        if present != 0 && present != self.group.len() {
+            return Err(format!("{} must appear together", self.group.join(", ")));
+        }
+        let name = self.source;
+        let Some(v) = r.value(name) else {
+            return Ok(());
+        };
+        let (unit, d, noun) = self.shown;
+        let (sign, ok) = match self.bound {
+            Ceiling(_) => ("non-negative", v >= 0.0),
+            _ => ("positive", v > 0.0),
+        };
+        if !(ok && v.is_finite()) {
+            return Err(format!("{name} {v} is not a {sign} {noun}"));
+        }
+        let need = |metric: &str, min: f64, why: &str| match r.metric(metric) {
+            Some(c) if c.is_finite() && c >= min => Ok(c),
+            Some(c) => Err(format!("{name} needs {metric}{why}, got {c}")),
+            None => Err(format!("{name} needs {metric}{why}")),
+        };
+        for &(metric, min, why) in self.needs {
+            need(metric, min, why)?;
+        }
+        let shown = format!("{name} {v:.d$}{unit}");
+        let x = if unit == "x" { "x" } else { "" };
+        let mut breach = self.bound.breach(v, x);
+        if let (Some((metric, min)), Floor(lo)) = (self.cores, self.bound) {
+            let c = need(metric, 0.0, "")?;
+            if c < min {
+                breach = None;
+                out.warnings.push(format!(
+                    "{shown} was measured on {c:.0} core(s); the {lo}{x} floor only applies \
+                     with >= {min} cores"
+                ));
+            }
+        }
+        if let Some(breach) = breach {
+            let msg = format!("{shown} {breach}: {}", self.reason);
+            if !self.warn_only {
+                return Err(msg);
+            }
+            out.warnings.push(msg);
+        }
+        out.summary.push_str(&(self.note)(v, r));
+        Ok(())
+    }
 }
 
 /// A passing report's one-line summary plus any non-fatal warnings.
@@ -124,13 +398,14 @@ struct Verdict {
 }
 
 fn check(body: &str) -> Result<Verdict, String> {
-    if !body.contains("\"schema\": \"dctcp-bench/v1\"") {
+    let report = Report::parse(body);
+    if report.schema != Some("dctcp-bench/v1") {
         return Err("missing or wrong schema tag (want dctcp-bench/v1)".into());
     }
     // Ratio metrics are only meaningful against a baseline measured the
     // same way; the report must declare the min-of-batches protocol
     // with at least 3 batches.
-    if !body.contains("\"timing\": \"min-of-batches\"") {
+    if report.timing != Some("min-of-batches") {
         return Err(
             "report does not declare the min-of-batches timing protocol; \
              regenerate it with the current harness (cargo bench -p dctcp-bench \
@@ -138,299 +413,45 @@ fn check(body: &str) -> Result<Verdict, String> {
                 .into(),
         );
     }
-    match field_values(body, "batches").first() {
-        Some(Some(b)) if *b >= 3.0 => {}
-        _ => return Err("timing protocol must use at least 3 batches".into()),
+    if !report.batches.is_some_and(|b| b >= 3.0) {
+        return Err("timing protocol must use at least 3 batches".into());
     }
-    let ns = field_values(body, "ns_per_iter");
-    if ns.is_empty() {
+    let benches = &report.benches;
+    if benches.is_empty() {
         return Err("no benchmark records".into());
     }
-    for (i, v) in ns.iter().enumerate() {
-        match v {
-            Some(v) if *v > 0.0 => {}
-            _ => return Err(format!("bench #{i}: ns_per_iter is not a positive number")),
+    for (i, b) in benches.iter().enumerate() {
+        if !b.ns_per_iter.is_some_and(|v| v > 0.0) {
+            return Err(format!("bench #{i}: ns_per_iter is not a positive number"));
         }
     }
-    let iters = field_values(body, "iters");
-    if iters.len() != ns.len() || iters.iter().any(|v| !matches!(v, Some(v) if *v >= 1.0)) {
+    if !benches.iter().all(|b| b.iters.is_some_and(|v| v >= 1.0)) {
         return Err("every bench needs iters >= 1".into());
     }
-    let events: Vec<f64> = field_values(body, "events_per_sec")
-        .into_iter()
-        .flatten()
-        .collect();
-    if !events.iter().any(|&e| e > 0.0) {
+    let rates = benches.iter().filter_map(|b| b.events_per_sec);
+    let peak = rates.fold(0.0, f64::max);
+    if peak <= 0.0 {
         return Err("no bench reports a positive events_per_sec".into());
     }
-    // Overhead-ratio metrics are only emitted when the bench found a
-    // committed baseline to compare against; absent is fine (first run).
-    // Present, each must sit inside the believable band: above the 1.02x
-    // ceiling is a regression, below the 0.95x noise floor the baseline
-    // itself is suspect (a "0.90x" here once let real regressions hide
-    // under a stale baseline).
-    let mut overhead_note = String::new();
-    for (metric, short, what) in [
-        (
-            "engine/forward/trace_overhead",
-            "trace_overhead",
-            "disabled-tracing overhead on engine/forward",
-        ),
-        (
-            "scenario/warm/supervision_overhead",
-            "supervision_overhead",
-            "supervised-executor overhead on the warm (all-hit) scenario path",
-        ),
-    ] {
-        let Some(ratio) = metric_value(body, metric) else {
-            continue;
-        };
-        if ratio.is_nan() || ratio <= 0.0 {
-            return Err(format!("{short} {ratio} is not a positive ratio"));
-        }
-        if ratio > TRACE_OVERHEAD_LIMIT {
-            return Err(format!(
-                "{what} {ratio:.4}x exceeds the {TRACE_OVERHEAD_LIMIT}x ceiling"
-            ));
-        }
-        if ratio < TRACE_OVERHEAD_FLOOR {
-            return Err(format!(
-                "{short} {ratio:.4}x is below the {TRACE_OVERHEAD_FLOOR}x noise floor: \
-                 the committed baseline no longer matches this machine/protocol, so the \
-                 {TRACE_OVERHEAD_LIMIT}x ceiling is meaningless — re-baseline by committing a \
-                 freshly generated BENCH_sim.json (min-of-3-batches)"
-            ));
-        }
-        overhead_note.push_str(&format!(
-            ", {short} {ratio:.3}x (band [{TRACE_OVERHEAD_FLOOR}, {TRACE_OVERHEAD_LIMIT}])"
-        ));
-    }
-    // The zero-alloc hot-path guard: absent is fine (older report), but a
-    // present allocs/event above the ceiling means per-event heap traffic
-    // crept back into the forwarding loop.
-    let mut alloc_note = String::new();
-    if let Some(ape) = metric_value(body, "engine/forward/allocs_per_event") {
-        if ape.is_nan() || ape < 0.0 {
-            return Err(format!("allocs_per_event {ape} is not a ratio"));
-        }
-        if ape > ALLOCS_PER_EVENT_LIMIT {
-            return Err(format!(
-                "engine/forward/allocs_per_event {ape:.4} exceeds the \
-                 {ALLOCS_PER_EVENT_LIMIT} ceiling: the forwarding hot path is \
-                 allocating again"
-            ));
-        }
-        alloc_note = format!(", {ape:.4} allocs/event");
-    }
-    // Fat-tree fabric gate: the bench asserts digest-verified serial vs
-    // sharded bit-identity itself; the committed rate just has to clear
-    // the (deliberately conservative) pathology floor.
-    let mut fattree_note = String::new();
-    if let Some(rate) = bench_events_per_sec(body, "engine/fattree/k4_allreduce_16kb") {
-        if rate < FATTREE_EVENTS_FLOOR {
-            return Err(format!(
-                "engine/fattree/k4_allreduce_16kb {rate:.0} events/sec is below the \
-                 {FATTREE_EVENTS_FLOOR:.0} floor: the fabric hot path regressed \
-                 far beyond machine noise"
-            ));
-        }
-        fattree_note = format!(", fat-tree {:.1}M events/sec", rate / 1e6);
-    }
-    // Fluid-sweep gate: the bench asserts the top of the sweep saturates
-    // and oscillates itself; the committed rate just has to clear the
-    // pathology floor.
-    let mut fluid_note = String::new();
-    if let Some(rate) = metric_value(body, "fluid/sweep_1e6") {
-        if rate.is_nan() || rate <= 0.0 {
-            return Err(format!("fluid/sweep_1e6 {rate} is not a positive rate"));
-        }
-        if rate < FLUID_SWEEP_FLOOR {
-            return Err(format!(
-                "fluid/sweep_1e6 {rate:.0} points/sec is below the \
-                 {FLUID_SWEEP_FLOOR:.0} floor: the DDE integrator hot path \
-                 regressed far beyond machine noise"
-            ));
-        }
-        fluid_note = format!(", fluid sweep {rate:.0} points/sec");
-    }
-    // The churn gate: flows/sec through the slab-recycled open/close
-    // path, and heap allocations per flow measured on a cold run.
-    let mut churn_note = String::new();
-    if let Some(rate) = metric_value(body, "engine/churn/flows_per_sec") {
-        if rate.is_nan() || rate <= 0.0 {
-            return Err(format!(
-                "engine/churn/flows_per_sec {rate} is not a positive rate"
-            ));
-        }
-        if rate < CHURN_FLOWS_FLOOR {
-            return Err(format!(
-                "engine/churn/flows_per_sec {rate:.0} is below the \
-                 {CHURN_FLOWS_FLOOR:.0} floor: per-flow open/close stopped \
-                 recycling state"
-            ));
-        }
-        churn_note = format!(", churn {:.0}k flows/sec", rate / 1e3);
-    }
-    if let Some(apf) = metric_value(body, "engine/churn/allocs_per_flow") {
-        if apf.is_nan() || apf < 0.0 {
-            return Err(format!("allocs_per_flow {apf} is not a ratio"));
-        }
-        if apf > ALLOCS_PER_FLOW_LIMIT {
-            return Err(format!(
-                "engine/churn/allocs_per_flow {apf:.3} exceeds the \
-                 {ALLOCS_PER_FLOW_LIMIT} ceiling: the flow open/close path is \
-                 allocating per flow again"
-            ));
-        }
-        churn_note.push_str(&format!(", {apf:.3} allocs/flow"));
-    }
-    let mut warnings = Vec::new();
-    // A "parallel" speedup measured on one worker is a tautology: warn
-    // so a committed single-thread baseline is not mistaken for a
-    // measured scaling result.
-    if metric_value(body, "sweep/multi_seed/threads") == Some(1.0) {
-        warnings.push(
-            "sweep/multi_seed/* was measured with 1 thread; its speedup is not \
-             a parallelism measurement (re-baseline on a multi-core machine)"
-                .into(),
-        );
-    }
-    // The parallel-sweep speedup: the harness emits it only when the
-    // machine has >= 2 cores to time scaling on. Absent means a
-    // single-core machine — the floor is skipped entirely, no warning.
-    // Present, it must be a real scaling measurement that clears the
-    // floor; a speedup carried by a single-core report is a stale
-    // baseline and fails outright (0.78x once sat in a committed report
-    // as a warning).
-    let mut sweep_note = String::new();
-    if let Some(speedup) = metric_value(body, "sweep/multi_seed/speedup") {
-        if speedup.is_nan() || speedup <= 0.0 {
-            return Err(format!("sweep/multi_seed/speedup {speedup} is not a ratio"));
-        }
-        match metric_value(body, "sweep/multi_seed/cores") {
-            None => return Err("sweep/multi_seed/speedup needs sweep/multi_seed/cores".into()),
-            Some(c) if c < 2.0 => {
-                return Err(format!(
-                    "sweep/multi_seed/speedup {speedup:.2}x was measured on {c:.0} \
-                     core(s): oversubscription, not scaling — re-baseline on a \
-                     multi-core machine (the harness records no speedup on one core)"
-                ));
-            }
-            Some(_) if speedup < SWEEP_SPEEDUP_FLOOR => {
-                return Err(format!(
-                    "sweep/multi_seed/speedup {speedup:.2}x is below the \
-                     {SWEEP_SPEEDUP_FLOOR}x floor: the parallel sweep driver is \
-                     losing to its own dispatch overhead"
-                ));
-            }
-            Some(_) => {}
-        }
-        sweep_note = format!(", multi-seed sweep {speedup:.2}x");
-    }
-    // Sharded-engine gate: the bench asserts bit-identity itself, so the
-    // report only carries the numbers. The speedup floor applies when the
-    // machine can actually run four shards concurrently; below that the
-    // number still gets recorded but only warns.
-    let mut shard_note = String::new();
-    if let Some(speedup) = metric_value(body, "engine/sharded/speedup_4shards") {
-        let shards = metric_value(body, "engine/sharded/shards");
-        let cores = metric_value(body, "engine/sharded/cores");
-        if speedup.is_nan() || speedup <= 0.0 {
-            return Err(format!(
-                "engine/sharded/speedup_4shards {speedup} is not a ratio"
-            ));
-        }
-        match shards {
-            Some(s) if s >= 2.0 => {}
-            _ => {
-                return Err(
-                    "engine/sharded/speedup_4shards needs engine/sharded/shards >= 2 \
-                     (the bench fell back to the serial engine)"
-                        .into(),
-                )
-            }
-        }
-        match cores {
-            None => return Err("engine/sharded/speedup_4shards needs engine/sharded/cores".into()),
-            Some(c) if c >= 4.0 && speedup < SHARD_SPEEDUP_FLOOR => {
-                return Err(format!(
-                    "engine/sharded/speedup_4shards {speedup:.2}x is below the \
-                     {SHARD_SPEEDUP_FLOOR}x floor on a {c:.0}-core machine"
-                ));
-            }
-            Some(c) if c < 4.0 => {
-                warnings.push(format!(
-                    "engine/sharded/speedup_4shards {speedup:.2}x was measured on \
-                     {c:.0} core(s); the {SHARD_SPEEDUP_FLOOR}x floor only applies \
-                     with >= 4 cores"
-                ));
-            }
-            Some(_) => {}
-        }
-        shard_note = format!(", 4-shard speedup {speedup:.2}x");
-    }
-    // Cache metrics travel as a trio; a report carrying only some of
-    // them was produced by a mismatched harness.
-    let cache_note = {
-        let hits = metric_value(body, "cache/hits");
-        let misses = metric_value(body, "cache/misses");
-        let speedup = metric_value(body, "cache/warm_rerun_speedup");
-        match (hits, misses, speedup) {
-            (None, None, None) => String::new(),
-            (Some(h), Some(m), Some(s)) => {
-                if h < 1.0 || m < 1.0 {
-                    return Err(format!(
-                        "cache metrics need at least one hit and one miss to mean anything \
-                         (hits {h}, misses {m})"
-                    ));
-                }
-                if s.is_nan() || s <= 1.0 {
-                    return Err(format!(
-                        "cache/warm_rerun_speedup {s:.4}x: a warm hit-only rerun must beat \
-                         the cold run that populated the cache"
-                    ));
-                }
-                format!(", warm cache rerun {s:.1}x over {h:.0} cells")
-            }
-            _ => {
-                return Err(
-                    "cache/hits, cache/misses and cache/warm_rerun_speedup must \
-                     appear together"
-                        .into(),
-                )
-            }
-        }
+    let mut verdict = Verdict {
+        summary: format!("{} benches ok, peak {peak:.0} events/sec", benches.len()),
+        warnings: Vec::new(),
     };
-    Ok(Verdict {
-        summary: format!(
-            "{} benches ok, peak {:.0} events/sec{}{}{}{}{}{}{}{}",
-            ns.len(),
-            events.iter().cloned().fold(0.0, f64::max),
-            overhead_note,
-            alloc_note,
-            shard_note,
-            sweep_note,
-            fattree_note,
-            fluid_note,
-            churn_note,
-            cache_note
-        ),
-        warnings,
-    })
+    let failed = GATES.iter().filter_map(|g| {
+        let msg = g.apply(&report, &mut verdict).err()?;
+        Some((g.precedence, msg))
+    });
+    match failed.min_by_key(|f| f.0) {
+        Some((_, msg)) => Err(msg),
+        None => Ok(verdict),
+    }
 }
 
 fn main() -> ExitCode {
-    let path = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "BENCH_sim.json".to_string());
-    let body = match std::fs::read_to_string(&path) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("bench_check: cannot read {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match check(&body) {
+    let path = std::env::args().nth(1);
+    let path = path.as_deref().unwrap_or("BENCH_sim.json");
+    let body = std::fs::read_to_string(path).map_err(|e| format!("cannot read it: {e}"));
+    match body.and_then(|body| check(&body)) {
         Ok(verdict) => {
             for w in &verdict.warnings {
                 eprintln!("bench_check: {path}: warning: {w}");
@@ -892,5 +913,40 @@ mod tests {
         ))
         .unwrap();
         assert!(v.warnings.is_empty());
+    }
+
+    #[test]
+    fn rejects_nan_fattree_rate() {
+        let err = check(&with_fattree_bench("NaN")).unwrap_err();
+        assert!(
+            err.contains("engine/fattree/k4_allreduce_16kb NaN"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn rejects_nan_sweep_cores() {
+        let bad = GOOD.replace("4.000000, \"unit\": \"cores", "NaN, \"unit\": \"cores");
+        let err = check(&bad).unwrap_err();
+        assert!(err.contains("sweep/multi_seed/cores"), "{err}");
+    }
+
+    #[test]
+    fn rejects_nan_shard_cores() {
+        // With NaN cores a 0.50x 4-shard speedup would pass unwarned.
+        let err = check(&shard_trio("0.500000", "4.000000", "NaN")).unwrap_err();
+        assert!(err.contains("engine/sharded/cores"), "{err}");
+    }
+
+    #[test]
+    fn rejects_nan_cache_hits() {
+        let err = check(&cache_trio("NaN", "4.000000", "3.000000")).unwrap_err();
+        assert!(err.contains("cache/hits"), "{err}");
+    }
+
+    #[test]
+    fn rejects_nan_cache_misses() {
+        let err = check(&cache_trio("4.000000", "NaN", "3.000000")).unwrap_err();
+        assert!(err.contains("cache/misses"), "{err}");
     }
 }

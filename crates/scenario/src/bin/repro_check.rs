@@ -1,4 +1,5 @@
-//! Regression-envelope validator for reproduction artifacts.
+//! Regression-envelope and cross-validation checker for reproduction
+//! artifacts.
 //!
 //! ```text
 //! repro_check [--artifacts DIR] (--all SCENARIO_DIR | FILE.scn ...)
@@ -7,20 +8,23 @@
 //! For each scenario, loads `DIR/<name>.json` (default
 //! `artifacts/repro`), verifies it matches the scenario (schema, name,
 //! kind, every matrix cell accounted for as a point *or* a quarantined
-//! failure) and evaluates every `[expect]` envelope. Envelopes that
-//! touch a quarantined cell are reported as *skipped* — a failure to
-//! measure is never a pass. Exit codes:
+//! failure), evaluates every `[expect]` envelope, then prints one
+//! OK/SKIP/FAIL line per `[xval]` band against its packet anchor
+//! `DIR/<anchor>.json` (each artifact loads once per run). Envelopes and
+//! bands that touch a quarantined cell are *skipped* — a failure to
+//! measure is never a pass. Exit codes, over envelopes and bands:
 //!
-//! * `0` — every envelope evaluated and held;
-//! * `3` — every evaluated envelope held, but quarantined cells forced
+//! * `0` — everything evaluated and held;
+//! * `3` — everything evaluated held, but quarantined cells forced
 //!   skips (the reproduction is incomplete, not wrong);
-//! * `1` — at least one envelope violated, or an invocation/format
-//!   error.
+//! * `1` — at least one envelope or band violated, or an
+//!   invocation/format error (a stale or missing artifact included).
 
-use std::path::PathBuf;
+use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use dctcp_scenario::{check_artifact_partial, list_scenarios, Artifact, ScenarioSpec};
+use dctcp_scenario::{check_artifact_partial, check_xval, list_scenarios, Artifact, ScenarioSpec};
 
 struct Args {
     artifacts: PathBuf,
@@ -61,14 +65,26 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-/// Checks one scenario; returns (violated, skipped) envelope counts.
-fn check_scenario(spec: &ScenarioSpec, artifact: &Artifact) -> Result<(usize, usize), String> {
-    if artifact.scenario != spec.name {
+/// Loads `dir/<name>.json` into `cache` unless it is already there,
+/// checking that it is that scenario's artifact.
+fn load(cache: &mut BTreeMap<String, Artifact>, dir: &Path, name: &str) -> Result<(), String> {
+    if cache.contains_key(name) {
+        return Ok(());
+    }
+    let path = dir.join(format!("{name}.json"));
+    let artifact = Artifact::load(&path).map_err(|e| e.to_string())?;
+    let (path, found) = (path.display(), &artifact.scenario);
+    if found != name {
         return Err(format!(
-            "artifact is for scenario `{}`, expected `{}`",
-            artifact.scenario, spec.name
+            "{path}: artifact is for scenario `{found}`, expected `{name}`"
         ));
     }
+    cache.insert(name.to_string(), artifact);
+    Ok(())
+}
+
+/// Checks one scenario's envelopes; returns (violated, skipped) counts.
+fn check_scenario(spec: &ScenarioSpec, artifact: &Artifact) -> Result<(usize, usize), String> {
     if artifact.kind != spec.kind {
         return Err(format!(
             "artifact kind `{}` does not match scenario kind `{}`",
@@ -106,16 +122,48 @@ fn check_scenario(spec: &ScenarioSpec, artifact: &Artifact) -> Result<(usize, us
     Ok((violated.len(), report.skipped.len()))
 }
 
+/// Checks one scenario's `[xval]` bands against their packet anchors;
+/// returns (violated, skipped) band counts.
+fn check_bands(
+    spec: &ScenarioSpec,
+    artifacts: &mut BTreeMap<String, Artifact>,
+    dir: &Path,
+) -> Result<(usize, usize), String> {
+    let (mut violated, mut skipped) = (0, 0);
+    for x in &spec.xvals {
+        let band = |e: String| format!("{}: xval \"{}\": {e}", spec.name, x.label);
+        load(artifacts, dir, &x.packet_scenario).map_err(band)?;
+        let r =
+            check_xval(x, &artifacts[&spec.name], &artifacts[&x.packet_scenario]).map_err(band)?;
+        if !r.violations.is_empty() {
+            violated += 1;
+            let fails: Vec<String> = r.violations.iter().map(ToString::to_string).collect();
+            eprintln!("repro_check:   FAIL {}", fails.join("; "));
+        } else if !r.skipped.is_empty() {
+            skipped += 1;
+            eprintln!("repro_check:   SKIP {}", r.skipped.join("; "));
+        } else {
+            eprintln!(
+                "repro_check:   OK   xval \"{}\": {} vs {}:{} within {} at {} flow count(s)",
+                x.label, x.metric, x.packet_scenario, x.packet_metric, x.max_rel_err, r.compared
+            );
+        }
+    }
+    Ok((violated, skipped))
+}
+
 fn run() -> Result<(usize, usize), String> {
     let args = parse_args()?;
+    let mut artifacts: BTreeMap<String, Artifact> = BTreeMap::new();
     let mut total_violations = 0usize;
     let mut total_skipped = 0usize;
     let mut total_expectations = 0usize;
+    let mut total_bands = 0usize;
     for path in &args.scenarios {
         let spec = ScenarioSpec::load(path).map_err(|e| format!("{}: {e}", path.display()))?;
         let artifact_path = args.artifacts.join(format!("{}.json", spec.name));
-        let artifact = Artifact::load(&artifact_path).map_err(|e| e.to_string())?;
-        let (violated, skipped) = check_scenario(&spec, &artifact)
+        load(&mut artifacts, &args.artifacts, &spec.name)?;
+        let (violated, skipped) = check_scenario(&spec, &artifacts[&spec.name])
             .map_err(|e| format!("{}: {e}", artifact_path.display()))?;
         total_expectations += spec.expectations.len();
         total_violations += violated;
@@ -131,10 +179,14 @@ fn run() -> Result<(usize, usize), String> {
                 String::new()
             },
         );
+        let (violated, skipped) = check_bands(&spec, &mut artifacts, &args.artifacts)?;
+        total_bands += spec.xvals.len();
+        total_violations += violated;
+        total_skipped += skipped;
     }
     eprintln!(
-        "repro_check: {total_expectations} envelopes over {} scenarios, \
-         {total_violations} violation(s), {total_skipped} skipped",
+        "repro_check: {total_expectations} envelopes over {} scenarios, {total_bands} xval \
+         band(s), {total_violations} violation(s), {total_skipped} skipped",
         args.scenarios.len()
     );
     Ok((total_violations, total_skipped))

@@ -16,10 +16,11 @@
 //! max_rel_err = 0.5            # |fluid − packet| / |packet| bound
 //! ```
 //!
-//! The `fluid_check` binary loads both artifacts and gates on the
-//! relative-error band. This is what licenses extrapolation: a fluid
-//! model that tracks the packet engine where both can run is trusted
-//! where only it can (the `N = 10⁴ … 10⁶` scale-out sweeps).
+//! The `repro_check` binary loads both artifacts and gates on the
+//! relative-error band, right after the fluid scenario's envelopes.
+//! This is what licenses extrapolation: a fluid model that tracks the
+//! packet engine where both can run is trusted where only it can (the
+//! `N = 10⁴ … 10⁶` scale-out sweeps).
 
 use crate::artifact::Artifact;
 use crate::parse::{parse_f64, parse_list_u32, Document};
@@ -146,7 +147,7 @@ pub fn parse_xvals(
             )));
         }
         // The anchor's metric name belongs to another scenario's kind;
-        // `fluid_check` validates it against the loaded artifact.
+        // `check_xval` validates it against the loaded artifact.
         let packet_metric = s
             .get("packet_metric")
             .map_or_else(|| metric.clone(), |e| e.value.clone());

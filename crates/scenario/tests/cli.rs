@@ -488,3 +488,76 @@ fn repro_reports_the_seed_column_it_expands() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The fluid model at [`PASSING_SCN`]'s operating point, with one
+/// `[xval]` band on utilization against it (both sides sit near 1).
+const XVAL_SCN: &str = "\
+[scenario]
+name = xval_fluid
+kind = fluid
+[topology]
+bottleneck = 1 Gbps
+[run]
+flows = 4
+warmup = 20 ms
+duration = 15 ms
+[marking \"dctcp\"]
+scheme = dctcp
+k = 20 pkts
+[xval \"util-vs-anchor\"]
+packet = cli_smoke
+marking = dctcp
+metric = utilization
+flows = 4
+max_rel_err = 0.2
+";
+
+#[test]
+fn repro_check_gates_xval_bands_against_their_anchors() {
+    let dir = unique_dir("xval");
+    let scn = dir.join("scenarios");
+    std::fs::create_dir_all(&scn).unwrap();
+    std::fs::write(scn.join("cli_smoke.scn"), PASSING_SCN).unwrap();
+    std::fs::write(scn.join("xval_fluid.scn"), XVAL_SCN).unwrap();
+    let run = |exe: &str, args: &[&str]| {
+        let out = run_bin(exe, args, &dir);
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        (out.status.code(), stderr)
+    };
+    let repro = env!("CARGO_BIN_EXE_repro");
+    let check = env!("CARGO_BIN_EXE_repro_check");
+    let cold = ["--all", "scenarios", "--out", "artifacts", "--no-cache"];
+    let fluid_only = ["--artifacts", "artifacts", "scenarios/xval_fluid.scn"];
+    assert_eq!(run(repro, &cold).0, Some(0));
+
+    // The band holds and is counted alongside the envelopes.
+    let (code, stderr) = run(check, &["--all", "scenarios", "--artifacts", "artifacts"]);
+    assert_eq!(code, Some(0), "{stderr}");
+    assert!(stderr.contains("OK   xval \"util-vs-anchor\""), "{stderr}");
+    assert!(stderr.contains(" 1 xval band(s), 0 violation"), "{stderr}");
+
+    // An anchor value moved out of the band fails it, by label.
+    let anchor = dir.join("artifacts/cli_smoke.json");
+    let body = std::fs::read_to_string(&anchor).unwrap();
+    let edited = body.replace("\"utilization\": 0.", "\"utilization\": 0.1");
+    std::fs::write(&anchor, edited).unwrap();
+    let (code, stderr) = run(check, &fluid_only);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stderr.contains("FAIL xval \"util-vs-anchor\""), "{stderr}");
+
+    // A missing anchor artifact is an error naming the file.
+    std::fs::remove_file(&anchor).unwrap();
+    let (code, stderr) = run(check, &fluid_only);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stderr.contains("cli_smoke.json"), "{stderr}");
+
+    // A quarantined anchor cell skips the band: incomplete, not wrong.
+    let broken = format!("{PASSING_SCN}\n[limits]\nretries = 0\ninject_panic = dctcp:4:1\n");
+    std::fs::write(scn.join("cli_smoke.scn"), broken).unwrap();
+    assert_eq!(run(repro, &cold).0, Some(3));
+    let (code, stderr) = run(check, &fluid_only);
+    assert_eq!(code, Some(3), "{stderr}");
+    assert!(stderr.contains("SKIP xval \"util-vs-anchor\""), "{stderr}");
+
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -51,6 +51,7 @@
 //! (`0`/`1` force serial); unset, it defaults to the machine's available
 //! parallelism.
 
+use std::env::VarError;
 use std::sync::Arc;
 
 use dctcp_parallel::{drive_windows, WindowError};
@@ -216,14 +217,15 @@ fn partition(num_nodes: usize, links: &[Link], target: usize) -> Option<Partitio
     })
 }
 
-/// Shard count requested by the environment: `DCTCP_SIM_SHARDS` if set,
-/// otherwise the machine's available parallelism.
-fn shards_from_env() -> Result<usize, SimError> {
-    match std::env::var("DCTCP_SIM_SHARDS") {
-        Err(std::env::VarError::NotPresent) => Ok(std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)),
-        Err(std::env::VarError::NotUnicode(_)) => Err(SimError::InvalidConfig(
+/// Shard count requested by the value of `DCTCP_SIM_SHARDS`, passed in
+/// as `std::env::var("DCTCP_SIM_SHARDS")`: the value if set, otherwise
+/// the machine's available parallelism.
+fn requested_shards(var: Result<String, VarError>) -> Result<usize, SimError> {
+    match var {
+        Err(VarError::NotPresent) => {
+            Ok(std::thread::available_parallelism().map_or(1, |n| n.get()))
+        }
+        Err(VarError::NotUnicode(_)) => Err(SimError::InvalidConfig(
             "DCTCP_SIM_SHARDS is not valid unicode".into(),
         )),
         Ok(v) => v.trim().parse::<usize>().map_err(|_| {
@@ -280,7 +282,7 @@ impl ShardedSimulator {
     /// but not a non-negative integer, and [`SimError::Param`] if the
     /// topology cannot be replicated per shard.
     pub fn new(network: Network) -> Result<Self, SimError> {
-        let target = shards_from_env()?;
+        let target = requested_shards(std::env::var("DCTCP_SIM_SHARDS"))?;
         Self::with_shards(network, target)
     }
 
@@ -940,13 +942,17 @@ mod tests {
     }
 
     #[test]
-    fn env_override_is_validated() {
-        // Not touching the process env (racy): exercise the parser path
-        // through with_shards' serial fallback instead, and the error
-        // variant directly.
-        let err = "abc".parse::<usize>().map_err(|_| {
-            SimError::InvalidConfig("DCTCP_SIM_SHARDS=\"abc\" is not a non-negative integer".into())
-        });
-        assert!(matches!(err, Err(SimError::InvalidConfig(_))));
+    fn shard_request_is_parsed_from_the_variable_value() {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(requested_shards(Err(VarError::NotPresent)), Ok(cores));
+        assert_eq!(requested_shards(Ok(" 2 ".into())), Ok(2));
+        let serial = requested_shards(Ok("0".into())).unwrap();
+        let sim = ShardedSimulator::with_shards(two_rack_network(1), serial).unwrap();
+        assert_eq!(sim.shard_count(), 1, "0 must force the serial engine");
+        let err = requested_shards(Ok("abc".into())).unwrap_err();
+        assert!(
+            matches!(&err, SimError::InvalidConfig(m) if m.contains("\"abc\"")),
+            "{err:?}"
+        );
     }
 }
